@@ -23,7 +23,7 @@ import numpy as np
 
 from . import asymptotics, ergodic, reference
 from .config import get_path, load_config, resolved_lines
-from .errors import BlowUpError, ConfigError
+from .errors import BlowUpError, BracketInconsistencyError, ConfigError
 from .grid import (
     Grid,
     GridFunction,
@@ -135,10 +135,10 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _run_tag(run: ergodic.ErgodicApprox) -> str:
-    if run.kind == "state_constraint":
-        return f"state_R{run.half_width:g}"
-    return f"periodic_S{run.half_width:g}_cut{run.cutoff:g}"
+def _run_tag(kind, half_width, cutoff):
+    if kind == "state_constraint":
+        return f"state_R{half_width:g}"
+    return f"periodic_S{half_width:g}_cut{cutoff:g}"
 
 
 def write_runs_csv(path, runs, header_lines):
@@ -147,14 +147,14 @@ def write_runs_csv(path, runs, header_lines):
             fh.write(f"# {line}\n")
         fh.write(
             "kind,half_width,cutoff,constant,residual_norm,converged,"
-            "stop_time,stop_reason\n"
+            "iterations,stop_reason\n"
         )
         for r in runs:
             cut = "" if r.cutoff is None else repr(float(r.cutoff))
             fh.write(
                 f"{r.kind},{float(r.half_width)!r},{cut},{float(r.constant)!r},"
                 f"{float(r.residual_norm)!r},{int(r.converged)},"
-                f"{float(r.stop_info.get('final_time', 0.0))!r},"
+                f"{int(r.stop_info.get('iterations', 0))},"
                 f"{r.stop_info.get('reason')}\n"
             )
 
@@ -178,7 +178,7 @@ def load_artifacts(art_dir, problem: ProblemSpec):
             kind = row["kind"]
             half_width = float(row["half_width"])
             cutoff = float(row["cutoff"]) if row["cutoff"] else None
-            tag = _run_tag_raw(kind, half_width, cutoff)
+            tag = _run_tag(kind, half_width, cutoff)
             prof_path = os.path.join(art_dir, f"profile_{tag}.csv")
             if not os.path.exists(prof_path):
                 raise ConfigError(f"missing profile artifact: expected {prof_path}")
@@ -198,12 +198,6 @@ def load_artifacts(art_dir, problem: ProblemSpec):
     if not runs:
         raise ConfigError(f"no runs found in {runs_path}")
     return runs
-
-
-def _run_tag_raw(kind, half_width, cutoff):
-    if kind == "state_constraint":
-        return f"state_R{half_width:g}"
-    return f"periodic_S{half_width:g}_cut{cutoff:g}"
 
 
 def _load_profile(path, kind, half_width, dim):
@@ -244,13 +238,14 @@ def cmd_validate(cfg, out_dir, json_flag=False):
         n = max(len(h1["radii"]), len(h2["radii"]))
         for i in range(n):
             c1 = (
-                f"{h1['radii'][i]!r},{h1['envelope'][i]!r}"
+                f"{float(h1['radii'][i])!r},{float(h1['envelope'][i])!r}"
                 if i < len(h1["radii"])
                 else ","
             )
             if i < len(h2["radii"]):
-                ratio = h2["ratios"][i]
-                c2 = f"{h2['radii'][i]!r},{'' if math.isnan(ratio) else repr(ratio)}"
+                ratio = float(h2["ratios"][i])
+                ratio_cell = "" if math.isnan(ratio) else repr(ratio)
+                c2 = f"{float(h2['radii'][i])!r},{ratio_cell}"
             else:
                 c2 = ","
             fh.write(f"{c1},{c2}\n")
@@ -275,22 +270,21 @@ def cmd_validate(cfg, out_dir, json_flag=False):
 
 
 def _state_job(args):
-    problem, R, spacing, scheme, opts = args
+    problem, R, spacing = args
     t0 = time.perf_counter()
-    run = ergodic.solve_state_constraint(problem, R, spacing, scheme, **opts)
+    run = ergodic.solve_state_constraint(problem, R, spacing)
     return run, time.perf_counter() - t0
 
 
 def _periodic_job(args):
-    problem, cutoff, spacing, scheme, opts = args
+    problem, cutoff, spacing = args
     t0 = time.perf_counter()
-    run = ergodic.solve_periodic(problem, cutoff, spacing, scheme, **opts)
+    run = ergodic.solve_periodic(problem, cutoff, spacing)
     return run, time.perf_counter() - t0
 
 
 def run_ergodic_ladder(cfg, jobs=1):
     problem = build_problem(cfg)
-    scheme = build_scheme(cfg)
     ladder = get_path(cfg, "ergodic.ladder")
     if not ladder:
         raise ConfigError("missing required config field 'ergodic.ladder'")
@@ -298,13 +292,8 @@ def run_ergodic_ladder(cfg, jobs=1):
     spacing = get_path(cfg, "ergodic.spacing")
     if spacing is None:
         raise ConfigError("missing required config field 'ergodic.spacing'")
-    opts = {"blow_up_cap": _blow_up_cap(cfg)}
-    for key in ("slope_tol", "max_time", "min_time", "window_half_width"):
-        val = get_path(cfg, f"ergodic.{key}")
-        if val is not None:
-            opts[key] = float(val)
-    state_args = [(problem, float(R), float(spacing), scheme, opts) for R in ladder]
-    per_args = [(problem, float(c), float(spacing), scheme, opts) for c in cutoffs]
+    state_args = [(problem, float(R), float(spacing)) for R in ladder]
+    per_args = [(problem, float(c), float(spacing)) for c in cutoffs]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             state_out = list(pool.map(_state_job, state_args))
@@ -314,7 +303,9 @@ def run_ergodic_ladder(cfg, jobs=1):
         per_out = [_periodic_job(a) for a in per_args]
     state_runs = [r for r, _ in state_out]
     periodic_runs = [r for r, _ in per_out]
-    timings = [(_run_tag(r), dt) for r, dt in state_out + per_out]
+    timings = [
+        (_run_tag(r.kind, r.half_width, r.cutoff), dt) for r, dt in state_out + per_out
+    ]
     return problem, state_runs, periodic_runs, timings
 
 
@@ -326,9 +317,10 @@ def cmd_ergodic(cfg, out_dir, jobs=1, json_flag=False, allow_partial=False):
     all_runs = state_runs + periodic_runs
     write_runs_csv(os.path.join(out_dir, "runs.csv"), all_runs, header)
     for run in all_runs:
+        tag = _run_tag(run.kind, run.half_width, run.cutoff)
         export_csv(
             run.profile,
-            os.path.join(out_dir, f"profile_{_run_tag(run)}.csv"),
+            os.path.join(out_dir, f"profile_{tag}.csv"),
             header_lines=header,
         )
     with open(os.path.join(out_dir, "timings.txt"), "w") as fh:
@@ -348,7 +340,7 @@ def cmd_ergodic(cfg, out_dir, jobs=1, json_flag=False, allow_partial=False):
         lines.append(f"note: {note}")
     for r in all_runs:
         lines.append(
-            f"run {_run_tag(r)}: constant={r.constant!r} "
+            f"run {_run_tag(r.kind, r.half_width, r.cutoff)}: constant={r.constant!r} "
             f"residual_norm={r.residual_norm!r} converged={r.converged}"
         )
     _write_text(os.path.join(out_dir, "summary.txt"), lines)
@@ -401,6 +393,13 @@ def cmd_longtime(cfg, out_dir, jobs=1, json_flag=False, artifacts=None,
             raise ConfigError(f"artifacts in {artifacts} hold no state-constraint runs")
     else:
         _, state_runs, periodic_runs, _ = run_ergodic_ladder(cfg, jobs)
+    R_max = max(r.half_width for r in state_runs)
+    if box < R_max:
+        # the upper barrier compares each state profile on its whole box
+        raise ConfigError(
+            f"longtime.box_half_width {box:g} is smaller than the largest "
+            f"ladder half-width {R_max:g}"
+        )
     est = ergodic.estimate_lambda_star(state_runs, periodic_runs)
     phi_ref = max(state_runs, key=lambda r: r.half_width).profile
 
@@ -506,9 +505,7 @@ def cmd_oracle(cfg, out_dir, json_flag=False):
     grid = make_grid("box", box, spacing, problem.dim)
     f = sample(problem.source, grid)
     eig, info = reference.hopf_cole_eigenvalue(f)
-    sc = ergodic.solve_state_constraint(
-        problem, box, spacing, scheme, blow_up_cap=_blow_up_cap(cfg)
-    )
+    sc = ergodic.solve_state_constraint(problem, box, spacing)
     rows = [
         (
             "ergodic_constant_vs_eigenvalue",
@@ -638,6 +635,9 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"numerical blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
+    except BracketInconsistencyError as exc:
+        print(f"bracket inconsistency: {exc}", file=sys.stderr)
+        return EXIT_VERDICT
 
 
 if __name__ == "__main__":

@@ -10,9 +10,12 @@ practice:
   approach the limit from the other side (lower route; the monotonicity of
   this family is not guaranteed, so the bracket is labeled heuristic).
 
-Constants are read off as the long-time slope of the window mean of the
-monotone evolution started from zero; the profile is the evolution minus the
-linear growth, normalized to vanish at the origin.
+Each pair (lambda, phi) is the fixed point of the explicit monotone scheme:
+the stationary discrete equations lambda - lap_h phi + H_h(phi) = f with
+phi(origin) = 0, solved directly by semismooth Newton (policy iteration; see
+Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47 (2009), and Achdou &
+Capuzzo-Dolcetta, SIAM J. Numer. Anal. 48 (2010)) with one sparse LU solve
+per iteration.
 """
 
 from __future__ import annotations
@@ -21,25 +24,26 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import BracketInconsistencyError, ConfigError
 from .grid import (
-    Grid,
     GridFunction,
     grids_equal,
     make_grid,
     restrict,
     sample,
 )
-from .parabolic import default_window_half_width, evolve
-from .problem import InitialSpec, ProblemSpec, torus_half_width
-from .scheme import SchemeConfig, residual_ergodic, residual_scaled_super
+from .parabolic import default_window_half_width
+from .problem import ProblemSpec, torus_half_width
+from .scheme import residual_ergodic, residual_scaled_super
 
-#: stopping rule defaults: slope Cauchy within this tolerance over this many
-#: consecutive slope-window samples, capped at max_time_factor slope windows
-SLOPE_TOL = 1e-3
-SLOPE_CONSECUTIVE = 5
-MAX_TIME_FACTOR = 50.0
+#: semismooth Newton on (phi, lambda): iteration cap, step halvings per line search
+NEWTON_MAX_ITER = 50
+NEWTON_HALVINGS = 30
+#: converged once sup |residual| <= NEWTON_RTOL * max(1, sup |f|)
+NEWTON_RTOL = 1e-10
 
 
 @dataclass
@@ -69,76 +73,131 @@ class ErgodicConstantEstimate:
     notes: list = field(default_factory=list)
 
 
-def _slope_ladder(trace, slope_window):
-    """Slopes at whole multiples of the slope window, oldest first."""
-    out = []
-    for s in trace.samples:
-        k = s.t / slope_window
-        if abs(k - round(k)) < 1e-9 and not math.isnan(s.slope):
-            out.append((s.t, s.slope))
-    return out
+def _stationary_terms(phi, lam, f, m, h, periodic):
+    """Residual lam - lap_h phi + H_h(phi) - f of the explicit scheme.
+
+    Also returns q2 and, per axis, the upwind pair (a, b) and the diffusion
+    weight, which the Jacobian needs.  The stencils are the kernels': tori
+    wrap around; on a box a wall node keeps, along the wall-normal axis, no
+    diffusion and only the inward upwind pair.
+    """
+    inv_h = 1.0 / h
+    inv_h2 = inv_h * inv_h
+    lap = np.zeros_like(phi)
+    q2 = np.zeros_like(phi)
+    axes = []
+    for axis in range(phi.ndim):
+        up = np.roll(phi, -1, axis)
+        um = np.roll(phi, 1, axis)
+        a = np.maximum((phi - um) * inv_h, 0.0)
+        b = np.maximum(-((up - phi) * inv_h), 0.0)
+        lap_k = (up - 2.0 * phi + um) * inv_h2
+        w = np.ones_like(phi)
+        if not periodic:
+            lo = (slice(None),) * axis + (0,)
+            hi = (slice(None),) * axis + (-1,)
+            a[lo] = b[hi] = 0.0
+            lap_k[lo] = lap_k[hi] = w[lo] = w[hi] = 0.0
+        lap += lap_k
+        q2 += a * a + b * b
+        axes.append((a, b, w))
+    ham = q2 if m == 2.0 else q2 ** (0.5 * m)
+    return lam - lap + ham - f, q2, axes
 
 
-def _run_to_stationary_slope(
-    problem: ProblemSpec,
-    grid: Grid,
-    scheme: SchemeConfig,
-    slope_tol: float,
-    consecutive: int,
-    max_time: float,
-    slope_window: float,
-    window_half_width,
-    blow_up_cap: float,
-    source: GridFunction | None = None,
-    min_time: float = 0.0,
-):
-    state = None
-    t_block = slope_window * (consecutive + 1)
-    reason = "max_time reached"
+def _jacobian(q2, axes, m, h, origin):
+    """Generalized Jacobian in (phi, lambda), plus the row pinning phi(origin).
+
+    d max(x, 0) = [x > 0] and dH = (m/2) q2^(m/2 - 1) d(q2), taken as 0
+    where q2 = 0.  The last column is lambda's, the last row the pin.
+    """
+    n = q2.size
+    inv_h = 1.0 / h
+    if m == 2.0:
+        c = np.ones_like(q2)
+    else:
+        c = np.zeros_like(q2)
+        on = q2 > 0.0
+        c[on] = 0.5 * m * q2[on] ** (0.5 * m - 1.0)
+    idx = np.arange(n).reshape(q2.shape)
+    diag = np.zeros_like(q2)
+    rows, cols, vals = [], [], []
+    for axis, (a, b, w) in enumerate(axes):
+        wd = w * (inv_h * inv_h)
+        ca = (2.0 * inv_h) * c * a
+        cb = (2.0 * inv_h) * c * b
+        diag += 2.0 * wd + ca + cb
+        for shift, coef in ((1, -(wd + ca)), (-1, -(wd + cb))):
+            rows.append(idx.ravel())
+            cols.append(np.roll(idx, shift, axis).ravel())
+            vals.append(coef.ravel())
+    rows += [idx.ravel(), idx.ravel(), [n]]
+    cols += [idx.ravel(), np.full(n, n), [origin]]
+    vals += [diag.ravel(), np.ones(n), [1.0]]
+    r, k, v = (np.concatenate(x) for x in (rows, cols, vals))
+    keep = v != 0.0  # drops box wraparound entries and inactive upwind terms
+    return sp.csc_matrix((v[keep], (r[keep], k[keep])), shape=(n + 1, n + 1))
+
+
+def _solve_stationary(f: GridFunction, m: float):
+    """Semismooth Newton (policy iteration) for the scheme's fixed point.
+
+    Solves lambda - lap_h phi + H_h(phi) = f at every node with phi(origin)
+    = 0, starting from phi = |x|, which is neither source dependent nor
+    degenerate at the walls.  A full step that does not lower the sup
+    residual is halved.  Returns phi, lambda, converged and the stop record.
+    """
+    grid = f.grid
+    h = grid.spacing
+    origin = int(np.ravel_multi_index(grid.origin_index, grid.shape))
+    phi = np.sqrt(sum(x * x for x in grid.meshed_coords()))
+    lam = 0.0
+    tol = NEWTON_RTOL * max(1.0, float(np.max(np.abs(f.values))))
+    terms = _stationary_terms(phi, lam, f.values, m, h, grid.periodic)
+    history = [float(np.max(np.abs(terms[0])))]
     converged = False
-    src = source if source is not None else sample(problem.source, grid)
     while True:
-        t_target = min((state.t if state else 0.0) + t_block, max_time)
-        t_target = max(t_target, min(min_time, max_time))
-        state = evolve(
-            problem,
-            grid,
-            t_target,
-            scheme,
-            state,
-            initial=None if state else sample(InitialSpec("zero"), grid),
-            source=src,
-            slope_window=slope_window,
-            window_half_width=window_half_width,
-            blow_up_cap=blow_up_cap,
-        )
-        slopes = _slope_ladder(state.trace, slope_window)
-        if len(slopes) >= consecutive + 1 and state.t >= min_time - 1e-9:
-            diffs = [
-                abs(slopes[-j][1] - slopes[-j - 1][1]) for j in range(1, consecutive + 1)
-            ]
-            if max(diffs) < slope_tol:
-                converged = True
-                reason = "slope stabilized"
-                break
-        if state.t >= max_time - 1e-9:
+        if history[-1] <= tol:
+            converged, reason = True, "residual below tolerance"
             break
-    slopes = _slope_ladder(state.trace, slope_window)
-    return state, slopes, converged, reason
+        if len(history) > NEWTON_MAX_ITER:
+            reason = "iteration cap reached"
+            break
+        res, q2, axes = terms
+        rhs = -np.append(res.ravel(), phi.flat[origin])
+        try:
+            step = spla.splu(_jacobian(q2, axes, m, h, origin)).solve(rhs)
+        except RuntimeError:
+            reason = "singular Jacobian"
+            break
+        dphi, dlam = step[:-1].reshape(grid.shape), float(step[-1])
+        alpha = 1.0
+        for _ in range(NEWTON_HALVINGS + 1):
+            phi_t, lam_t = phi + alpha * dphi, lam + alpha * dlam
+            trial = _stationary_terms(phi_t, lam_t, f.values, m, h, grid.periodic)
+            r = float(np.max(np.abs(trial[0])))
+            if r < history[-1]:
+                break
+            alpha *= 0.5
+        else:
+            reason = "line search found no descent"
+            break
+        phi, lam, terms = phi_t, lam_t, trial
+        history.append(r)
+    stop_info = {
+        "reason": reason,
+        "iterations": len(history) - 1,
+        "residual_history": history,
+        "tolerance": tol,
+    }
+    return phi, lam, converged, stop_info
 
 
-def _finish_run(
-    problem, grid, state, slopes, converged, reason, kind, cutoff=None, slope_tol=SLOPE_TOL
-):
-    constant = slopes[-1][1]
-    vals = state.u.values - constant * state.t
-    origin = (grid.nodes_per_axis - 1) // 2
-    vals = vals - vals[(origin,) * grid.dim]
+def _finish_run(m, f, phi, constant, converged, stop_info, kind, cutoff=None):
+    grid = f.grid
+    vals = phi - phi[grid.origin_index]
     profile = GridFunction(grid, vals)
-    src = sample(problem.source, grid)
-    if cutoff is not None:
-        src = GridFunction(grid, np.minimum(src.values, cutoff))
-    res = residual_ergodic(constant, profile, src, problem.m, "central")
+    res = residual_ergodic(constant, profile, f, m, "central")
     w = min(default_window_half_width(res.grid), res.grid.half_width)
     h = res.grid.spacing
     w = max(int(round(w / h)), 1) * h
@@ -150,78 +209,32 @@ def _finish_run(
         profile=profile,
         residual_norm=float(np.max(np.abs(res_k.values))),
         converged=converged,
-        stop_info={
-            "reason": reason,
-            "final_time": state.t,
-            "slope_history": slopes,
-            "slope_tol": slope_tol,
-        },
+        stop_info=stop_info,
         cutoff=cutoff,
     )
 
 
 def solve_state_constraint(
-    problem: ProblemSpec,
-    half_width: float,
-    spacing: float,
-    scheme: SchemeConfig | None = None,
-    *,
-    slope_tol: float = SLOPE_TOL,
-    consecutive: int = SLOPE_CONSECUTIVE,
-    max_time: float | None = None,
-    min_time: float = 0.0,
-    slope_window: float = 1.0,
-    window_half_width=None,
-    blow_up_cap: float = 1e3,
+    problem: ProblemSpec, half_width: float, spacing: float
 ) -> ErgodicApprox:
     """State-constraint pair on the box of the given half-width.
 
-    Evolves from zero data until the window-mean slope is Cauchy, then peels
-    off the linear growth.  A non-stabilizing slope returns converged=False
-    with the slope history attached rather than raising.
+    Solves the stationary equations of the explicit scheme directly.  A
+    solve that does not reach the tolerance returns converged=False with
+    the reason and the residual history in ``stop_info`` rather than
+    raising.
     """
     if half_width <= 0:
         raise ConfigError("half_width must be positive")
-    scheme = scheme or SchemeConfig()
-    max_time = max_time if max_time is not None else MAX_TIME_FACTOR * slope_window
     grid = make_grid("box", half_width, spacing, problem.dim)
-    state, slopes, converged, reason = _run_to_stationary_slope(
-        problem,
-        grid,
-        scheme,
-        slope_tol,
-        consecutive,
-        max_time,
-        slope_window,
-        window_half_width,
-        blow_up_cap,
-        min_time=min_time,
-    )
+    f = sample(problem.source, grid)
     return _finish_run(
-        problem,
-        grid,
-        state,
-        slopes,
-        converged,
-        reason,
-        "state_constraint",
-        slope_tol=slope_tol,
+        problem.m, f, *_solve_stationary(f, problem.m), "state_constraint"
     )
 
 
 def solve_periodic(
-    problem: ProblemSpec,
-    cutoff: float,
-    spacing: float,
-    scheme: SchemeConfig | None = None,
-    *,
-    slope_tol: float = SLOPE_TOL,
-    consecutive: int = SLOPE_CONSECUTIVE,
-    max_time: float | None = None,
-    min_time: float = 0.0,
-    slope_window: float = 1.0,
-    window_half_width=None,
-    blow_up_cap: float = 1e3,
+    problem: ProblemSpec, cutoff: float, spacing: float
 ) -> ErgodicApprox:
     """Periodic pair on the torus sized so the cap only acts where f >= cutoff.
 
@@ -233,35 +246,12 @@ def solve_periodic(
     )
     if cutoff <= src_min:
         raise ConfigError("cutoff must exceed the source minimum")
-    scheme = scheme or SchemeConfig()
-    max_time = max_time if max_time is not None else MAX_TIME_FACTOR * slope_window
     S = torus_half_width(problem.source, cutoff)
     grid = make_grid("torus", S, spacing, problem.dim)
     f_full = sample(problem.source, grid)
     f_cell = GridFunction(grid, np.minimum(f_full.values, cutoff))
-    state, slopes, converged, reason = _run_to_stationary_slope(
-        problem,
-        grid,
-        scheme,
-        slope_tol,
-        consecutive,
-        max_time,
-        slope_window,
-        window_half_width,
-        blow_up_cap,
-        source=f_cell,
-        min_time=min_time,
-    )
     return _finish_run(
-        problem,
-        grid,
-        state,
-        slopes,
-        converged,
-        reason,
-        "periodic",
-        cutoff=cutoff,
-        slope_tol=slope_tol,
+        problem.m, f_cell, *_solve_stationary(f_cell, problem.m), "periodic", cutoff
     )
 
 
@@ -350,8 +340,8 @@ def scaling_check_super(
     """Supersolution scaling check with mu = 1 + lambda_R - lambda*.
 
     The scaled profile mu*phi_R must satisfy the supersolution inequality up
-    to the scheme's consistency error: residual >= -(C h^2 + slack), the
-    slack covering the slope stopping tolerance of the profile run.
+    to the scheme's consistency error plus a fixed slack:
+    residual >= -(C h^2 + slack).
     """
     if approx.kind != "state_constraint":
         raise ConfigError("supersolution scaling applies to state-constraint runs")

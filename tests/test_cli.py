@@ -210,3 +210,64 @@ def test_reports_embed_resolved_config(quick_cfg, tmp_path):
     assert "#   m: 2.0" in text
     summary = (out / "summary.txt").read_text()
     assert "== config ==" in summary
+
+
+def _quick_variant(tmp_path, *replacements):
+    text = QUICK
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "variant.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_longtime_box_narrower_than_ladder_is_config_error(tmp_path, capsys):
+    cfg = _quick_variant(
+        tmp_path,
+        ("ladder: [3.0, 5.0]", "ladder: [4.0, 8.0]"),
+        ("cutoffs: [9.0]", "cutoffs: [8.0]"),
+        ("box_half_width: 5.0\n  spacing: 0.1", "box_half_width: 6.0\n  spacing: 0.1"),
+    )
+    code = main(["longtime", "--config", cfg, "--out", str(tmp_path / "lt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "box_half_width 6" in err and "half-width 8" in err
+
+
+def test_bracket_inconsistency_exits_one_with_one_line(tmp_path, capsys):
+    cfg = _quick_variant(
+        tmp_path,
+        ("ladder: [3.0, 5.0]", "ladder: [1.0, 2.0]"),
+        ("cutoffs: [9.0]", "cutoffs: [4.0]"),
+    )
+    code = main(["ergodic", "--config", cfg, "--out", str(tmp_path / "erg")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bracket inconsistency:")
+    assert err.count("\n") == 1
+
+
+def test_validate_csv_cells_are_plain_floats(quick_cfg, tmp_path):
+    out = tmp_path / "val"
+    assert main(["validate", "--config", quick_cfg, "--out", str(out)]) == 0
+    lines = (out / "validate.csv").read_text().splitlines()
+    rows = [r for r in lines if r and not r.startswith("#")][1:]
+    cells = [c for r in rows for c in r.split(",") if c]
+    assert cells
+    for cell in cells:
+        float(cell)
+
+
+def test_runs_csv_reports_newton_iterations(quick_cfg, tmp_path):
+    out = tmp_path / "erg"
+    assert main(["ergodic", "--config", quick_cfg, "--out", str(out)]) == 0
+    rows = [
+        r.split(",")
+        for r in (out / "runs.csv").read_text().splitlines()
+        if r and not r.startswith("#")
+    ]
+    assert rows[0][-2:] == ["iterations", "stop_reason"]
+    for row in rows[1:]:
+        assert int(row[-2]) >= 1
+        assert row[-1] == "residual below tolerance"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ergodic_hj import (
     BracketInconsistencyError,
@@ -13,6 +14,7 @@ from ergodic_hj import (
     SourceSpec,
     argmax_confinement,
     estimate_lambda_star,
+    evolve,
     make_grid,
     manufactured,
     restrict,
@@ -21,6 +23,7 @@ from ergodic_hj import (
     solve_periodic,
     solve_state_constraint,
 )
+from ergodic_hj import ergodic
 from ergodic_hj.ergodic import ErgodicApprox
 
 
@@ -89,8 +92,6 @@ def test_periodic_flat_source_gives_flat_profile():
     # constant is c and the profile is zero (plumbing sanity for the slope
     # readout; a genuinely flat cell source cannot come out of the cutoff
     # construction, which always spans into the region where f < cutoff)
-    from ergodic_hj import evolve
-
     p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
     g = make_grid("torus", 2.0, 0.25, 1)
     c = 5.0
@@ -203,8 +204,63 @@ def test_argmax_outward_ramp_flagged(oscillator, osc_run_r4):
     assert not rep2.passed
 
 
-def test_nonconverged_run_reports_history(oscillator):
-    run = solve_state_constraint(oscillator, 4.0, 0.1, max_time=3.0)
+def test_nonconverged_run_reports_history(oscillator, monkeypatch):
+    monkeypatch.setattr(ergodic, "NEWTON_MAX_ITER", 1)
+    run = solve_state_constraint(oscillator, 4.0, 0.1)
     assert not run.converged
-    assert run.stop_info["reason"] == "max_time reached"
-    assert len(run.stop_info["slope_history"]) >= 2
+    assert run.stop_info["reason"] == "iteration cap reached"
+    assert run.stop_info["iterations"] == 1
+    history = run.stop_info["residual_history"]
+    assert len(history) == 2
+    assert history[1] < history[0]
+    assert history[1] > run.stop_info["tolerance"]
+
+
+def test_singular_jacobian_reports_reason(oscillator, monkeypatch):
+    # rank one, like a Jacobian whose wall rows all reduce to the lambda column
+    def rank_one(q2, *args):
+        return sp.csc_matrix(np.ones((q2.size + 1, q2.size + 1)))
+
+    monkeypatch.setattr(ergodic, "_jacobian", rank_one)
+    run = solve_state_constraint(oscillator, 4.0, 0.1)
+    assert not run.converged
+    assert run.stop_info["reason"] == "singular Jacobian"
+    assert run.stop_info["iterations"] == 0
+    assert len(run.stop_info["residual_history"]) == 1
+
+
+def _assert_explicit_run_stationary(problem, run, source, T=1.0):
+    # the pair is the explicit scheme's fixed point: stepping from phi only
+    # adds lambda * t
+    st = evolve(problem, run.profile.grid, T, initial=run.profile, source=source)
+    drift = st.u.values - run.profile.values - run.constant * st.t
+    assert st.t == pytest.approx(T)
+    assert float(np.max(np.abs(drift))) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [2.0, 1.5])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["box", "torus"])
+def test_newton_pair_is_explicit_fixed_point(kind, dim, m):
+    p = ProblemSpec(m=m, source=SourceSpec("power", alpha=m), dim=dim)
+    h = 0.1 if dim == 1 else 0.25
+    if kind == "box":
+        run = solve_state_constraint(p, 3.0, h)
+        source = sample(p.source, run.profile.grid)
+    else:
+        run = solve_periodic(p, 9.0, h)
+        full = sample(p.source, run.profile.grid)
+        source = GridFunction(full.grid, np.minimum(full.values, 9.0))
+    assert run.converged, run.stop_info
+    _assert_explicit_run_stationary(p, run, source)
+
+
+def test_fast_growing_source_converges():
+    # f = |x|^4 drives the wall slope to 16: time-marching from zero data
+    # overruns its first CFL step (BlowUpError near t = 0.107), while the
+    # direct solve takes no time steps
+    p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=4.0), dim=1)
+    run = solve_state_constraint(p, 4.0, 0.05)
+    assert run.converged, run.stop_info
+    assert run.constant == pytest.approx(1.117316366, abs=1e-8)
+    _assert_explicit_run_stationary(p, run, sample(p.source, run.profile.grid))
