@@ -48,7 +48,6 @@ from .parabolic import (
     evolve,
     gradient_monitor,
     holder_quotient,
-    step,
 )
 from .problem import (
     InitialSpec,

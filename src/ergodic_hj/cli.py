@@ -103,7 +103,6 @@ def build_scheme(cfg: dict) -> SchemeConfig:
     return SchemeConfig(
         cfl_safety=float(block.get("cfl_safety", 0.9)),
         grad_cap=float(block.get("grad_cap", 1.0)),
-        residual_stencil=str(block.get("residual_stencil", "upwind")),
     )
 
 
@@ -516,7 +515,7 @@ def cmd_oracle(cfg, out_dir, json_flag=False):
         )
     ]
     u0 = sample(problem.initial, grid)
-    u_lin = reference.hopf_cole_parabolic(f, u0, horizon)
+    u_prev, u_lin = reference.hopf_cole_parabolic(f, u0, (horizon - 1.0, horizon))
     state = evolve(
         problem, grid, horizon, scheme,
         initial=u0, blow_up_cap=_blow_up_cap(cfg),
@@ -532,7 +531,6 @@ def cmd_oracle(cfg, out_dir, json_flag=False):
             field_tol,
         )
     )
-    u_prev = reference.hopf_cole_parabolic(f, u0, horizon - 1.0)
     slope = float(
         np.mean(restrict(u_lin, window).values) - np.mean(restrict(u_prev, window).values)
     )

@@ -35,6 +35,7 @@ from .grid import (
     restrict,
     sample,
 )
+from .kernels import axis_terms
 from .parabolic import default_window_half_width
 from .problem import ProblemSpec, torus_half_width
 from .scheme import residual_ergodic, residual_scaled_super
@@ -77,29 +78,24 @@ def _stationary_terms(phi, lam, f, m, h, periodic):
     """Residual lam - lap_h phi + H_h(phi) - f of the explicit scheme.
 
     Also returns q2 and, per axis, the upwind pair (a, b) and the diffusion
-    weight, which the Jacobian needs.  The stencils are the kernels': tori
-    wrap around; on a box a wall node keeps, along the wall-normal axis, no
-    diffusion and only the inward upwind pair.
+    weight, which the Jacobian needs.  The per-axis terms come from the
+    explicit step's own helper, ``kernels.axis_terms``: tori wrap around; on
+    a box a wall node keeps, along the wall-normal axis, no diffusion and
+    only the inward upwind pair.
     """
     inv_h = 1.0 / h
-    inv_h2 = inv_h * inv_h
     lap = np.zeros_like(phi)
     q2 = np.zeros_like(phi)
     axes = []
     for axis in range(phi.ndim):
-        up = np.roll(phi, -1, axis)
-        um = np.roll(phi, 1, axis)
-        a = np.maximum((phi - um) * inv_h, 0.0)
-        b = np.maximum(-((up - phi) * inv_h), 0.0)
-        lap_k = (up - 2.0 * phi + um) * inv_h2
+        # a^2 + b^2 per axis, then into q2: this order keeps the 2D profiles
+        # reproducible to the bit; the step's order moves them by an ulp
+        q2_axis = np.zeros_like(phi)
+        a, b = axis_terms(phi, axis, periodic, inv_h, inv_h * inv_h, lap, q2_axis)
+        q2 += q2_axis
         w = np.ones_like(phi)
         if not periodic:
-            lo = (slice(None),) * axis + (0,)
-            hi = (slice(None),) * axis + (-1,)
-            a[lo] = b[hi] = 0.0
-            lap_k[lo] = lap_k[hi] = w[lo] = w[hi] = 0.0
-        lap += lap_k
-        q2 += a * a + b * b
+            w[(slice(None),) * axis + ([0, -1],)] = 0.0
         axes.append((a, b, w))
     ham = q2 if m == 2.0 else q2 ** (0.5 * m)
     return lam - lap + ham - f, q2, axes

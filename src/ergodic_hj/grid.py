@@ -110,9 +110,6 @@ class GridFunction:
     def value_at_origin(self) -> float:
         return float(self.values[self.grid.origin_index])
 
-    def shifted(self, c: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values + c)
-
 
 def sample(spec_or_fn, grid: Grid) -> GridFunction:
     """Evaluate a source/initial spec or a plain callable at every node."""

@@ -1,14 +1,20 @@
 """Hot inner-loop kernels: explicit updates for u_t - lap(u) + |Du|^m = f.
 
-Two interchangeable backends are provided for every kernel:
+Two interchangeable backends are provided:
 
-* a numba ``@njit`` scalar-loop version (default when numba imports), and
-* a pure-numpy vectorized version.
+* numpy: one dimension-generic helper, ``axis_terms``, adds one axis's
+  second difference and upwind pair into caller buffers.  The explicit
+  step (boxes and tori, 1D and 2D), the zero-Dirichlet heat step, the
+  Newton residual in ``ergodic`` and the stencil fields in ``scheme`` all
+  go through it;
+* numba: one ``@njit`` scalar loop per case (default when numba imports).
 
 Set the environment variable ``ERGODIC_HJ_DISABLE_NUMBA=1`` before import to
-force the numpy path.  Both backends evaluate the same arithmetic expression
-tree node by node, so results agree to the last bit for m = 2 and to a few
-ulp for fractional exponents (libm pow implementations may differ).
+force the numpy path.  Both backends evaluate the same expression tree node
+by node: ((u+ - 2 u) + u-) * inv_h2 per axis, a = max((u - u-) * inv_h, 0),
+b = max(-((u+ - u) * inv_h), 0), and q2 = ((ax^2 + bx^2) + ay^2) + by^2.
+Results therefore agree to the last bit for m = 2 and to a few ulp for
+fractional exponents (pow implementations may differ).
 
 Stencils:
 
@@ -26,6 +32,7 @@ Stencils:
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 
@@ -63,156 +70,76 @@ NUMBA_ENABLED = _HAVE_NUMBA and not _numba_disabled_by_env()
 # ---------------------------------------------------------------------------
 
 
-def _pow_half_m(q2, m):
-    # q2 ** (m/2); the m == 2 branch avoids pow so results are exact
-    if m == 2.0:
-        return q2
-    return q2 ** (0.5 * m)
+def axis_terms(u, axis, periodic, inv_h, inv_h2, lap=None, q2=None):
+    """Add one axis of the stencil into buffers shaped like ``u``.
 
+    ``lap`` gains the second difference and ``q2`` gains a^2, then b^2, of
+    the upwind pair a = max(D-, 0), b = max(-D+, 0).  Calling the axes in
+    order on the same buffers gives the numba kernels' sums bit for bit.
+    Tori wrap around.  On a box this axis's walls are closed: the wall
+    nodes get no diffusion and only the inward member of the pair (a = 0 on
+    the low wall, b = 0 on the high one).
 
-def step_box_1d_numpy(u, f, dt, inv_h, inv_h2, m, out):
-    n = u.shape[0]
-    up = u[2:]
-    uc = u[1:-1]
-    um = u[:-2]
-    lap = (up - 2.0 * uc + um) * inv_h2
-    dm = (uc - um) * inv_h
-    dp = (up - uc) * inv_h
-    a = np.maximum(dm, 0.0)
-    b = np.maximum(-dp, 0.0)
-    q2 = a * a + b * b
-    ham = _pow_half_m(q2, m)
-    out[1:-1] = uc + dt * (lap - ham + f[1:-1])
-    # state-constraint walls: inward upwind pair only, no wall-normal diffusion
-    b0 = max(-((u[1] - u[0]) * inv_h), 0.0)
-    q20 = b0 * b0
-    ham0 = q20 if m == 2.0 else q20 ** (0.5 * m)
-    out[0] = u[0] + dt * (0.0 - ham0 + f[0])
-    an = max((u[n - 1] - u[n - 2]) * inv_h, 0.0)
-    q2n = an * an
-    hamn = q2n if m == 2.0 else q2n ** (0.5 * m)
-    out[n - 1] = u[n - 1] + dt * (0.0 - hamn + f[n - 1])
-    return out
-
-
-def step_torus_1d_numpy(u, f, dt, inv_h, inv_h2, m, out):
-    up = np.roll(u, -1)
-    um = np.roll(u, 1)
-    lap = (up - 2.0 * u + um) * inv_h2
-    dm = (u - um) * inv_h
-    dp = (up - u) * inv_h
-    a = np.maximum(dm, 0.0)
-    b = np.maximum(-dp, 0.0)
-    q2 = a * a + b * b
-    ham = _pow_half_m(q2, m)
-    out[:] = u + dt * (lap - ham + f)
-    return out
-
-
-def _axis_terms_scalar(um, uc, up, inv_h, inv_h2):
-    lap = (up - 2.0 * uc + um) * inv_h2
-    a = max((uc - um) * inv_h, 0.0)
-    b = max(-((up - uc) * inv_h), 0.0)
-    return lap, a, b
-
-
-def _edge_terms_scalar(uc, u1, inv_h, low):
-    # wall-normal axis at a boundary node: inward upwind pair, no diffusion
-    if low:
-        b = max(-((u1 - uc) * inv_h), 0.0)
-        a = 0.0
+    Returns the pair (a, b) as arrays shaped like ``u`` when ``q2`` is
+    given, else None.  ``inv_h2`` is read only with ``lap``, ``inv_h`` only
+    with ``q2``.
+    """
+    v = u.swapaxes(0, axis)  # slices below act on this axis
+    if periodic:  # one wrapped ghost layer per side: every node is interior
+        v = np.concatenate((v[-1:], v, v[:1]))
+        inner = a_to = b_to = slice(None)
+        a_from, b_from = slice(None, -1), slice(1, None)
     else:
-        a = max((uc - u1) * inv_h, 0.0)
-        b = 0.0
-    return 0.0, a, b
+        inner, a_to, b_to = slice(1, -1), slice(1, None), slice(None, -1)
+        a_from = b_from = slice(None)
+    if lap is not None:
+        lap.swapaxes(0, axis)[inner] += ((v[2:] - 2.0 * v[1:-1]) + v[:-2]) * inv_h2
+    if q2 is None:
+        return None
+    d = (v[1:] - v[:-1]) * inv_h  # D+ of a node, D- of the next
+    a = np.zeros(u.shape)
+    b = np.zeros(u.shape)
+    np.maximum(d[a_from], 0.0, out=a.swapaxes(0, axis)[a_to])
+    np.maximum(-d[b_from], 0.0, out=b.swapaxes(0, axis)[b_to])
+    q2 += a * a
+    q2 += b * b
+    return a, b
 
 
-def step_box_2d_numpy(u, f, dt, inv_h, inv_h2, m, out):
-    n0, n1 = u.shape
-    uc = u[1:-1, 1:-1]
-    lap = (
-        (u[2:, 1:-1] - 2.0 * uc + u[:-2, 1:-1]) * inv_h2
-        + (u[1:-1, 2:] - 2.0 * uc + u[1:-1, :-2]) * inv_h2
-    )
-    ax = np.maximum((uc - u[:-2, 1:-1]) * inv_h, 0.0)
-    bx = np.maximum(-((u[2:, 1:-1] - uc) * inv_h), 0.0)
-    ay = np.maximum((uc - u[1:-1, :-2]) * inv_h, 0.0)
-    by = np.maximum(-((u[1:-1, 2:] - uc) * inv_h), 0.0)
-    q2 = ax * ax + bx * bx + ay * ay + by * by
-    ham = _pow_half_m(q2, m)
-    out[1:-1, 1:-1] = uc + dt * (lap - ham + f[1:-1, 1:-1])
-    # boundary strip: scalar loop (cheap, O(n) nodes) with identical arithmetic
-    for i in range(n0):
-        on_i = i == 0 or i == n0 - 1
-        if on_i:
-            js = range(n1)
-        else:
-            js = (0, n1 - 1)
-        for j in js:
-            if i == 0:
-                lx, axv, bxv = _edge_terms_scalar(u[0, j], u[1, j], inv_h, True)
-            elif i == n0 - 1:
-                lx, axv, bxv = _edge_terms_scalar(
-                    u[n0 - 1, j], u[n0 - 2, j], inv_h, False
-                )
-            else:
-                lx, axv, bxv = _axis_terms_scalar(
-                    u[i - 1, j], u[i, j], u[i + 1, j], inv_h, inv_h2
-                )
-            if j == 0:
-                ly, ayv, byv = _edge_terms_scalar(u[i, 0], u[i, 1], inv_h, True)
-            elif j == n1 - 1:
-                ly, ayv, byv = _edge_terms_scalar(
-                    u[i, n1 - 1], u[i, n1 - 2], inv_h, False
-                )
-            else:
-                ly, ayv, byv = _axis_terms_scalar(
-                    u[i, j - 1], u[i, j], u[i, j + 1], inv_h, inv_h2
-                )
-            q2v = axv * axv + bxv * bxv + ayv * ayv + byv * byv
-            hamv = q2v if m == 2.0 else q2v ** (0.5 * m)
-            out[i, j] = u[i, j] + dt * ((lx + ly) - hamv + f[i, j])
+def step_numpy(u, f, dt, inv_h, inv_h2, m, out, periodic):
+    """out = u + dt * ((lap - H) + f) on a box or a torus of any dimension."""
+    out.fill(0.0)
+    q2 = np.zeros(u.shape)
+    for axis in range(u.ndim):
+        axis_terms(u, axis, periodic, inv_h, inv_h2, out, q2)
+    if m != 2.0:  # at m = 2, H = q2 exactly, without pow
+        np.power(q2, 0.5 * m, out=q2)
+    out -= q2
+    out += f
+    out *= dt
+    out += u
     return out
 
 
-def step_torus_2d_numpy(u, f, dt, inv_h, inv_h2, m, out):
-    uxp = np.roll(u, -1, axis=0)
-    uxm = np.roll(u, 1, axis=0)
-    uyp = np.roll(u, -1, axis=1)
-    uym = np.roll(u, 1, axis=1)
-    lap = (uxp - 2.0 * u + uxm) * inv_h2 + (uyp - 2.0 * u + uym) * inv_h2
-    ax = np.maximum((u - uxm) * inv_h, 0.0)
-    bx = np.maximum(-((uxp - u) * inv_h), 0.0)
-    ay = np.maximum((u - uym) * inv_h, 0.0)
-    by = np.maximum(-((uyp - u) * inv_h), 0.0)
-    q2 = ax * ax + bx * bx + ay * ay + by * by
-    ham = _pow_half_m(q2, m)
-    out[:, :] = u + dt * (lap - ham + f)
+step_box_1d_numpy = step_box_2d_numpy = partial(step_numpy, periodic=False)
+step_torus_1d_numpy = step_torus_2d_numpy = partial(step_numpy, periodic=True)
+
+
+def heat_step_dirichlet_numpy(w, pot, dt, inv_h2, out):
+    """w_t = lap(w) - pot*w with w pinned to zero on the boundary ring."""
+    out.fill(0.0)
+    for axis in range(w.ndim):
+        axis_terms(w, axis, False, None, inv_h2, lap=out)
+    out -= pot * w
+    out *= dt
+    out += w
+    for axis in range(w.ndim):
+        ring = out.swapaxes(0, axis)
+        ring[0] = ring[-1] = 0.0
     return out
 
 
-def heat_step_dirichlet_1d_numpy(w, pot, dt, inv_h2, out):
-    # w_t = lap(w) - pot*w with w pinned to zero on the boundary ring
-    wc = w[1:-1]
-    lap = (w[2:] - 2.0 * wc + w[:-2]) * inv_h2
-    out[1:-1] = wc + dt * (lap - pot[1:-1] * wc)
-    out[0] = 0.0
-    out[-1] = 0.0
-    return out
-
-
-def heat_step_dirichlet_2d_numpy(w, pot, dt, inv_h2, out):
-    wc = w[1:-1, 1:-1]
-    lap = (
-        (w[2:, 1:-1] - 2.0 * wc + w[:-2, 1:-1]) * inv_h2
-        + (w[1:-1, 2:] - 2.0 * wc + w[1:-1, :-2]) * inv_h2
-    )
-    out[1:-1, 1:-1] = wc + dt * (lap - pot[1:-1, 1:-1] * wc)
-    out[0, :] = 0.0
-    out[-1, :] = 0.0
-    out[:, 0] = 0.0
-    out[:, -1] = 0.0
-    return out
+heat_step_dirichlet_1d_numpy = heat_step_dirichlet_2d_numpy = heat_step_dirichlet_numpy
 
 
 def max_onesided_gradient_numpy(u, inv_h):
@@ -382,9 +309,6 @@ else:
     step_torus_2d = step_torus_2d_numpy
     heat_step_dirichlet_1d = heat_step_dirichlet_1d_numpy
     heat_step_dirichlet_2d = heat_step_dirichlet_2d_numpy
-
-max_onesided_gradient = max_onesided_gradient_numpy
-max_onesided_gradient_torus = max_onesided_gradient_torus_numpy
 
 
 def backend_name() -> str:

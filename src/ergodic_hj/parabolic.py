@@ -74,36 +74,6 @@ class EvolutionState:
     trace: DiagnosticsTrace
 
 
-def step(
-    state: EvolutionState,
-    f: GridFunction,
-    m: float,
-    bc: str,
-    dt: float,
-) -> EvolutionState:
-    """One explicit update; monotone whenever dt respects the CFL bound."""
-    if bc not in ("state_constraint", "periodic"):
-        raise ConfigError(f"unknown boundary handling {bc!r}")
-    periodic = bc == "periodic"
-    g = state.u.grid
-    if periodic != g.periodic:
-        raise ConfigError(f"{bc} stepping needs a {'torus' if periodic else 'box'} grid")
-    if not grids_equal(f.grid, g):
-        raise ConfigError("source and state must share a grid")
-    out = kernels.vhj_step(state.u.values, f.values, dt, g.spacing, m, periodic)
-    if not np.all(np.isfinite(out)):
-        bad = tuple(np.argwhere(~np.isfinite(out))[0])
-        grad = kernels.max_onesided_gradient(state.u.values, 1.0 / g.spacing)
-        raise BlowUpError(
-            f"non-finite update at node {bad} (t={state.t + dt:.6g}, "
-            f"max gradient {grad:.3g}); the time step violated the CFL bound",
-            t=state.t + dt,
-            node=bad,
-            max_gradient=grad,
-        )
-    return EvolutionState(state.t + dt, GridFunction(g, out), state.trace)
-
-
 def _measure_gradient(values, grid: Grid) -> float:
     inv_h = 1.0 / grid.spacing
     if grid.periodic:
@@ -184,7 +154,7 @@ def evolve(
 
     grad = _measure_gradient(u, grid)
     L = max(grad_headroom * grad, config.grad_cap)
-    live_cfg = SchemeConfig(config.cfl_safety, L, config.residual_stencil)
+    live_cfg = SchemeConfig(config.cfl_safety, L)
     dt_cfl = cfl_timestep(grid, live_cfg, m)
 
     snapshots = []
@@ -216,7 +186,7 @@ def evolve(
                     max_gradient=grad,
                 )
             L = max(grad_headroom * grad, config.grad_cap)
-            live_cfg = SchemeConfig(config.cfl_safety, L, config.residual_stencil)
+            live_cfg = SchemeConfig(config.cfl_safety, L)
             dt_cfl = cfl_timestep(grid, live_cfg, m)
         if next_snap is not None and t >= next_snap - eps:
             if not np.all(np.isfinite(u)):

@@ -162,25 +162,30 @@ def hopf_cole_eigenvalue(
 def hopf_cole_parabolic(
     f: GridFunction,
     u0: GridFunction,
-    T: float,
+    times,
     safety: float = 0.9,
     rescale_threshold: float = 2.0**-40,
 ):
-    """Integrate w_t = lap(w) - f w with w0 = exp(-u0), return u(T) = -log w.
+    """Integrate w_t = lap(w) - f w with w0 = exp(-u0); return u = -log w at
+    each of the sorted ``times``, all from one integration.
 
     Valid for m = 2 only.  When max w drifts below the threshold, w is
     rescaled by a power of two and the exact log shift is carried along;
     power-of-two scaling commutes bit-exactly with the linear update, so the
-    rescaled trajectory reproduces the unrescaled one.
+    rescaled trajectory reproduces the unrescaled one.  The last step before
+    each requested time is shortened to land on it.
 
     The zero-Dirichlet closure makes -log w infinite on the boundary ring, so
-    the result is returned on the grid shrunk by one node per side.
+    each field is returned on the grid shrunk by one node per side.
     """
     g = f.grid
     if g.periodic:
         raise ConfigError("parabolic transform oracle expects a box grid")
     if not grids_equal(u0.grid, g):
         raise ConfigError("initial data grid mismatch")
+    times = [float(T) for T in times]
+    if times != sorted(times):
+        raise ConfigError(f"output times must be sorted, got {times}")
     h = g.spacing
     w = np.exp(-u0.values)
     if g.dim == 1:  # Dirichlet ring
@@ -191,35 +196,35 @@ def hopf_cole_parabolic(
     out = np.empty_like(w)
     fmax = float(np.max(f.values))
     dt_stable = safety / (2.0 * g.dim / (h * h) + fmax)
-    t = 0.0
-    log_shift = 0.0  # accumulated -log of the applied rescalings
-    shift_exp = 0  # integer power-of-two exponent, exact bookkeeping
-    while t < T - 1e-12:
-        dt = min(dt_stable, T - t)
-        kernels.heat_step(w, f.values, dt, h, out)
-        w, out = out, w
-        t += dt
-        wmax = float(np.max(w))
-        if wmax <= 0.0:
-            raise StagnationError(
-                "transformed field collapsed to zero; horizon too long for "
-                "the chosen box"
-            )
-        if wmax < rescale_threshold:
-            k = int(math.floor(math.log2(wmax)))
-            w *= 2.0 ** (-k)  # exact: power-of-two scaling
-            shift_exp += k
-    log_shift = shift_exp * math.log(2.0)
     interior = (slice(1, -1),) * g.dim
-    wi = w[interior]
-    if np.any(wi <= 0.0):
-        raise StagnationError("transformed field hit zero on the interior")
-    u_vals = -np.log(wi) - log_shift
     sub = Grid(
         kind="box",
         half_width=g.half_width - h,
         nodes_per_axis=g.nodes_per_axis - 2,
         dim=g.dim,
     )
-    return GridFunction(sub, u_vals)
-
+    t = 0.0
+    shift_exp = 0  # integer power-of-two exponent, exact bookkeeping
+    fields = []
+    for T in times:
+        while t < T - 1e-12:
+            dt = min(dt_stable, T - t)
+            kernels.heat_step(w, f.values, dt, h, out)
+            w, out = out, w
+            t += dt
+            wmax = float(np.max(w))
+            if wmax <= 0.0:
+                raise StagnationError(
+                    "transformed field collapsed to zero; horizon too long for "
+                    "the chosen box"
+                )
+            if wmax < rescale_threshold:
+                k = int(math.floor(math.log2(wmax)))
+                w *= 2.0 ** (-k)  # exact: power-of-two scaling
+                shift_exp += k
+        wi = w[interior]
+        if np.any(wi <= 0.0):
+            raise StagnationError("transformed field hit zero on the interior")
+        log_shift = shift_exp * math.log(2.0)  # -log of the applied rescalings
+        fields.append(GridFunction(sub, -np.log(wi) - log_shift))
+    return fields

@@ -13,21 +13,19 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 from .grid import Grid, GridFunction, grids_equal
+from .kernels import axis_terms
 
 
 @dataclass
 class SchemeConfig:
     cfl_safety: float = 0.9
     grad_cap: float = 1.0  # Lipschitz cap L used in the CFL bound
-    residual_stencil: str = "upwind"
 
     def __post_init__(self):
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ConfigError("cfl_safety must lie in (0, 1]")
         if not self.grad_cap > 0.0:
             raise ConfigError("grad_cap must be positive")
-        if self.residual_stencil not in ("upwind", "central"):
-            raise ConfigError("residual_stencil must be 'upwind' or 'central'")
 
 
 def cfl_timestep(grid: Grid, config: SchemeConfig, m: float) -> float:
@@ -56,42 +54,27 @@ def _neighbor_views(values, axis, periodic):
     return values[tuple(sl_m)], values[tuple(sl_p)]
 
 
+def _interior(g: Grid, values: np.ndarray) -> np.ndarray:
+    return values if g.periodic else values[(slice(1, -1),) * g.dim]
+
+
 def laplacian_field(gf: GridFunction) -> np.ndarray:
     """Second differences; interior shape for boxes, full shape for tori."""
     g = gf.grid
-    h2 = g.spacing * g.spacing
-    v = gf.values
-    if g.periodic:
-        out = np.zeros_like(v)
-        for ax in range(g.dim):
-            um, up = _neighbor_views(v, ax, True)
-            out += (up - 2.0 * v + um) / h2
-        return out
-    core = v[(slice(1, -1),) * g.dim]
-    out = np.zeros_like(core)
-    for ax in range(g.dim):
-        um, up = _neighbor_views(v, ax, False)
-        out += (up - 2.0 * core + um) / h2
-    return out
+    inv_h = 1.0 / g.spacing
+    lap = np.zeros(g.shape)
+    for axis in range(g.dim):
+        axis_terms(gf.values, axis, g.periodic, inv_h, inv_h * inv_h, lap=lap)
+    return _interior(g, lap)
 
 
 def upwind_gradsq_field(gf: GridFunction) -> np.ndarray:
     """sum_i max(D-,0)^2 + max(-D+,0)^2 (interior for boxes)."""
     g = gf.grid
-    h = g.spacing
-    v = gf.values
-    if g.periodic:
-        acc = np.zeros_like(v)
-        center = v
-    else:
-        center = v[(slice(1, -1),) * g.dim]
-        acc = np.zeros_like(center)
-    for ax in range(g.dim):
-        um, up = _neighbor_views(v, ax, g.periodic)
-        a = np.maximum((center - um) / h, 0.0)
-        b = np.maximum(-((up - center) / h), 0.0)
-        acc += a * a + b * b
-    return acc
+    q2 = np.zeros(g.shape)
+    for axis in range(g.dim):
+        axis_terms(gf.values, axis, g.periodic, 1.0 / g.spacing, None, q2=q2)
+    return _interior(g, q2)
 
 
 def central_gradsq_field(gf: GridFunction) -> np.ndarray:
@@ -99,10 +82,7 @@ def central_gradsq_field(gf: GridFunction) -> np.ndarray:
     g = gf.grid
     h = g.spacing
     v = gf.values
-    if g.periodic:
-        acc = np.zeros_like(v)
-    else:
-        acc = np.zeros_like(v[(slice(1, -1),) * g.dim])
+    acc = np.zeros_like(_interior(g, v))
     for ax in range(g.dim):
         um, up = _neighbor_views(v, ax, g.periodic)
         d0 = (up - um) / (2.0 * h)
@@ -220,12 +200,8 @@ def residual_ergodic(
     g = profile.grid
     lap = laplacian_field(profile)
     ham = hamiltonian_field(profile, m, stencil)
-    if g.periodic:
-        res = constant - lap + ham - source.values
-        return GridFunction(g, res)
-    core = source.values[(slice(1, -1),) * g.dim]
-    res = constant - lap + ham - core
-    return GridFunction(_interior_grid(g), res)
+    res = constant - lap + ham - _interior(g, source.values)
+    return GridFunction(g if g.periodic else _interior_grid(g), res)
 
 
 def residual_scaled_super(
@@ -249,11 +225,7 @@ def residual_scaled_super(
     scaled = GridFunction(profile.grid, scale * profile.values)
     lap = laplacian_field(scaled)
     ham = hamiltonian_field(scaled, m, "central")
-    g = profile.grid
-    if g.periodic:
-        rhs = scale * (source.values - constant_r)
-    else:
-        rhs = scale * (source.values[(slice(1, -1),) * g.dim] - constant_r)
+    rhs = scale * (_interior(profile.grid, source.values) - constant_r)
     return float(np.min(-lap + ham - rhs))
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ergodic_hj import kernels
+from ergodic_hj import Grid, GridFunction, discrete_laplacian, kernels, numerical_hamiltonian
 
 
 def _rand_fields(shape, seed):
@@ -97,6 +97,42 @@ def test_state_constraint_boundary_uses_inward_stencil():
     out2 = np.empty(5)
     kernels.step_box_1d_numpy(u2, f, 0.01, 2.0, 4.0, 2.0, out2)
     assert out2[0] >= out[0]
+
+
+U_2D = np.array(
+    [
+        [4.0, 1.0, 2.0, 1.0, 0.0],
+        [3.0, 1.0, 0.0, 2.0, 1.0],
+        [0.0, 2.0, 1.0, 3.0, 2.0],
+        [1.0, 0.0, 2.0, 1.0, 3.0],
+        [2.0, 1.0, 3.0, 0.0, 1.0],
+    ]
+)
+
+
+@pytest.mark.parametrize("kind", ["box", "torus"])
+def test_vhj_step_2d_walls_corners_and_wraparound(kind):
+    # h = 0.5 (1/h = 2, 1/h^2 = 4), f = 1, dt = 0.01, m = 2
+    g = Grid(kind, 1.0, 5, 2)
+    u = GridFunction(g, U_2D[: g.n_store, : g.n_store])
+    out = kernels.vhj_step(u.values, np.ones(g.shape), 0.01, g.spacing, 2.0, g.periodic)
+    if kind == "box":
+        # low wall (0, 2): no x diffusion and only the inward x pair,
+        # b_x = max(-(0 - 2) * 2, 0) = 4; along y a = b = 2, lap = (1 - 4 + 1) * 4
+        assert out[0, 2] == pytest.approx(2.0 + 0.01 * (-8.0 - (16 + 4 + 4) + 1.0), rel=1e-15)
+        # high wall (4, 2): inward a_x = (3 - 2) * 2 = 2 only; along y a = 4,
+        # b = 6, lap = (0 - 6 + 1) * 4
+        assert out[4, 2] == pytest.approx(3.0 + 0.01 * (-20.0 - (4 + 16 + 36) + 1.0), rel=1e-15)
+        # corner (0, 0): both axes closed, inward b_x = 2 and b_y = 6, no diffusion
+        assert out[0, 0] == pytest.approx(4.0 + 0.01 * (0.0 - (4 + 36) + 1.0), rel=1e-15)
+        nodes = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+    else:  # every node, the edge ones through the wraparound
+        nodes = list(np.ndindex(g.shape))
+    for node in nodes:
+        lap = discrete_laplacian(u, node)
+        ham = numerical_hamiltonian(u, node, 2.0)
+        expected = u.values[node] + 0.01 * (lap - ham + 1.0)
+        assert out[node] == pytest.approx(expected, rel=1e-13)
 
 
 def test_torus_wraparound():

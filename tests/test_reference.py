@@ -107,7 +107,7 @@ def test_parabolic_transform_preserves_constants():
     g = make_grid("box", 4.0, 0.1, 1)
     f = GridFunction(g, np.zeros(g.shape))
     u0 = GridFunction(g, np.full(g.shape, 1.5))
-    u = hopf_cole_parabolic(f, u0, 0.1)
+    (u,) = hopf_cole_parabolic(f, u0, [0.1])
     mid = restrict(u, 1.0)
     assert np.allclose(mid.values, 1.5, atol=1e-6)
 
@@ -118,7 +118,7 @@ def test_parabolic_transform_agrees_with_nonlinear_solver():
     g = make_grid("box", 8.0, h, 1)
     f = sample(p.source, g)
     u0 = sample(InitialSpec("zero"), g)
-    u_lin = hopf_cole_parabolic(f, u0, 5.0)
+    (u_lin,) = hopf_cole_parabolic(f, u0, [5.0])
     u_non = evolve(p, g, 5.0).u
     diff = sup_norm_diff(restrict(u_lin, 2.0), restrict(u_non, 2.0))
     assert diff < 0.05
@@ -128,10 +128,23 @@ def test_parabolic_transform_late_slope_matches_eigenvalue():
     g = make_grid("box", 8.0, 0.025, 1)
     f = sample(SourceSpec("power", alpha=2.0), g)
     u0 = sample(InitialSpec("zero"), g)
-    u5 = hopf_cole_parabolic(f, u0, 5.0)
-    u4 = hopf_cole_parabolic(f, u0, 4.0)
+    u4, u5 = hopf_cole_parabolic(f, u0, [4.0, 5.0])
     slope = float(np.mean(restrict(u5, 2.0).values) - np.mean(restrict(u4, 2.0).values))
     assert slope == pytest.approx(1.0, abs=0.02)
+
+
+def test_parabolic_transform_fields_come_from_one_integration():
+    # the earlier field is the prefix of the same trajectory, so it matches a
+    # run stopped there bit for bit; unsorted times are refused
+    g = make_grid("box", 4.0, 0.125, 1)
+    f = sample(SourceSpec("power", alpha=2.0), g)
+    u0 = sample(InitialSpec("zero"), g)
+    u1, u2 = hopf_cole_parabolic(f, u0, [1.0, 2.0])
+    (alone,) = hopf_cole_parabolic(f, u0, [1.0])
+    assert np.array_equal(u1.values, alone.values)
+    assert not np.array_equal(u1.values, u2.values)
+    with pytest.raises(ConfigError):
+        hopf_cole_parabolic(f, u0, [2.0, 1.0])
 
 
 def test_rescaling_reproduces_unrescaled_run_bitwise():
@@ -163,7 +176,7 @@ def test_parabolic_transform_needs_box():
     f = GridFunction(g, np.ones(g.shape))
     u0 = GridFunction(g, np.zeros(g.shape))
     with pytest.raises(ConfigError):
-        hopf_cole_parabolic(f, u0, 1.0)
+        hopf_cole_parabolic(f, u0, [1.0])
 
 
 def test_solver_vs_eigenvalue_gap_stable_in_box_size():
