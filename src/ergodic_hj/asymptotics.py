@@ -30,7 +30,7 @@ from .grid import (
     sample,
     torus_values_on_window,
 )
-from .parabolic import evolve
+from .parabolic import DiagnosticsTrace, evolve
 from .problem import ProblemSpec
 from .scheme import SchemeConfig, laplacian_field, hamiltonian_field
 
@@ -55,6 +55,7 @@ class LargeTimeReport:
     final_flatness: float
     snapshots: list = field(default_factory=list)  # (t, GridFunction of v)
     verdicts: dict = field(default_factory=dict)
+    trace: DiagnosticsTrace | None = None  # the evolution's per-sample records
 
     def export_csv(self, path, header_lines=()):
         with open(path, "w", newline="") as fh:
@@ -170,6 +171,7 @@ def run_large_time(
         final_sup_error=final.sup_error,
         final_flatness=final.flatness,
         snapshots=v_snapshots,
+        trace=state.trace,
     )
 
 

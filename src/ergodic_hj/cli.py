@@ -417,6 +417,7 @@ def cmd_longtime(cfg, out_dir, jobs=1, json_flag=False, artifacts=None,
     header = resolved_lines(cfg)
     os.makedirs(out_dir, exist_ok=True)
     report.export_csv(os.path.join(out_dir, "history.csv"), header_lines=header)
+    report.trace.export_csv(os.path.join(out_dir, "trace.csv"), header_lines=header)
 
     barrier_rows = []
     for eps in (epsilon, 2.0 * epsilon):

@@ -2,11 +2,17 @@
 
 Two interchangeable backends are provided:
 
-* numpy: one dimension-generic helper, ``axis_terms``, adds one axis's
-  second difference and upwind pair into caller buffers.  The explicit
-  step (boxes and tori, 1D and 2D), the zero-Dirichlet heat step, the
-  Newton residual in ``ergodic`` and the stencil fields in ``scheme`` all
-  go through it;
+* numpy: one dimension-generic helper, ``axis_terms``, writes (axis 0) or
+  adds (later axes) one axis's second difference and upwind pair into
+  caller buffers.  The explicit step (boxes and tori, 1D and 2D), the
+  zero-Dirichlet heat step, the Newton residual in ``ergodic`` and the
+  stencil fields in ``scheme`` all go through it.  On the grids this
+  package steps, a step costs per numpy call, not per node, so the helper
+  computes each axis's one-sided differences once and reuses scratch
+  buffers kept per array shape from call to call instead of allocating
+  them.  Nothing it returns is scratch.  The scratch is shared by every
+  caller in the process, so the numpy kernels are not thread-safe (the
+  parallel ladder uses processes);
 * numba: one ``@njit`` scalar loop per case (default when numba imports).
 
 Set the environment variable ``ERGODIC_HJ_DISABLE_NUMBA=1`` before import to
@@ -70,46 +76,115 @@ NUMBA_ENABLED = _HAVE_NUMBA and not _numba_disabled_by_env()
 # ---------------------------------------------------------------------------
 
 
-def axis_terms(u, axis, periodic, inv_h, inv_h2, lap=None, q2=None):
-    """Add one axis of the stencil into buffers shaped like ``u``.
+#: scratch buffers, reused from call to call: ``(shape, axis, periodic)``
+#: -> ``_AxisScratch``, and ``shape`` -> one node-shaped array.  Cleared
+#: when it grows past ``_SCRATCH_MAX`` entries, so a process that steps many
+#: grid sizes keeps only recent ones.
+_SCRATCH = {}
+_SCRATCH_MAX = 32
 
-    ``lap`` gains the second difference and ``q2`` gains a^2, then b^2, of
-    the upwind pair a = max(D-, 0), b = max(-D+, 0).  Calling the axes in
-    order on the same buffers gives the numba kernels' sums bit for bit.
-    Tori wrap around.  On a box this axis's walls are closed: the wall
-    nodes get no diffusion and only the inward member of the pair (a = 0 on
-    the low wall, b = 0 on the high one).
+
+def _keep(key, value):
+    if len(_SCRATCH) >= _SCRATCH_MAX:
+        _SCRATCH.clear()
+    _SCRATCH[key] = value
+    return value
+
+
+def _node_scratch(shape):
+    buf = _SCRATCH.get(shape)
+    return _keep(shape, np.empty(shape)) if buf is None else buf
+
+
+class _AxisScratch:
+    """Index tuples and buffers for one axis of one array shape.
+
+    ``diff[0]`` holds the one-sided differences d along the axis, one per
+    cell between neighbours plus one at each end: entry i is D- of node i
+    and entry i + 1 its D+.  ``diff[1]`` holds -d.  On a box the end entries
+    stay zero, which closes the walls (a = 0 on the low wall, b = 0 on the
+    high one); on a torus they hold the wrapped difference.  After a call
+    ``diff`` holds the squares of the upwind pairs.
+    """
+
+    def __init__(self, shape, axis, periodic):
+        def at(s):  # index tuple: ``s`` along this axis, all of the others
+            return (slice(None),) * axis + (s,)
+
+        def resized(k):  # ``shape`` with k nodes along this axis
+            return shape[:axis] + (k,) + shape[axis + 1 :]
+
+        n = shape[axis]
+        self.mid, self.plus = at(slice(1, -1)), at(slice(2, None))
+        self.minus = at(slice(None, -2))
+        self.up, self.down = at(slice(1, None)), at(slice(None, -1))
+        self.a, self.b = (0,) + self.down, (1,) + self.up
+        self.diff = np.zeros((2,) + resized(n + 1))
+        self.a2, self.b2 = self.diff[self.a], self.diff[self.b]
+        if periodic:  # one wrapped ghost layer per side: every node is interior
+            self.padded = np.empty(resized(n + 2))
+            self.first, self.last = at(slice(None, 1)), at(slice(-1, None))
+            self.inner = at(slice(None))
+            cells = self.inner
+        else:
+            self.inner = cells = self.mid
+            self.walls = at(slice(None, None, max(n - 1, 1)))  # first and last node
+        self.d, self.neg_d = self.diff[(0,) + cells], self.diff[(1,) + cells]
+        # the second difference of a later axis, before it is added
+        self.lap = np.empty(resized(n if periodic else max(n - 2, 0))) if axis else None
+
+
+def axis_terms(u, axis, periodic, inv_h, inv_h2, lap=None, q2=None):
+    """One axis of the stencil into buffers shaped like ``u``.
+
+    ``lap`` gets the second difference and ``q2`` gets a^2 + b^2 of the
+    upwind pair a = max(D-, 0), b = max(-D+, 0).  Axis 0 writes both
+    buffers; every later axis adds to them.  Calling the axes in order on
+    the same buffers gives the numba kernels' sums bit for bit.  Tori wrap
+    around.  On a box this axis's walls are closed: the wall nodes get no
+    diffusion and only the inward member of the pair (a = 0 on the low
+    wall, b = 0 on the high one).
 
     Returns the pair (a, b) as arrays shaped like ``u`` when ``q2`` is
-    given, else None.  ``inv_h2`` is read only with ``lap``, ``inv_h`` only
-    with ``q2``.
+    given, else None; the pair is freshly allocated and may be kept.
+    ``inv_h2`` is read only with ``lap``, ``inv_h`` only with ``q2``.
     """
-    v = u.swapaxes(0, axis)  # slices below act on this axis
-    if periodic:  # one wrapped ghost layer per side: every node is interior
-        v = np.concatenate((v[-1:], v, v[:1]))
-        inner = a_to = b_to = slice(None)
-        a_from, b_from = slice(None, -1), slice(1, None)
-    else:
-        inner, a_to, b_to = slice(1, -1), slice(1, None), slice(None, -1)
-        a_from = b_from = slice(None)
+    key = (u.shape, axis, periodic)
+    s = _SCRATCH.get(key) or _keep(key, _AxisScratch(*key))
+    v = u
+    if periodic:
+        v = np.concatenate((u[s.last], u, u[s.first]), axis, out=s.padded)
+    # in-place operators below: they cost less per call than ufunc(out=)
     if lap is not None:
-        lap.swapaxes(0, axis)[inner] += ((v[2:] - 2.0 * v[1:-1]) + v[:-2]) * inv_h2
+        acc = s.lap if axis else lap[s.inner]
+        np.multiply(v[s.mid], -2.0, out=acc)
+        acc += v[s.plus]  # (u+ - 2u) to the bit: -2u is exact, + commutes
+        acc += v[s.minus]
+        acc *= inv_h2
+        if axis:
+            inner = lap[s.inner]
+            inner += acc
+        elif not periodic:
+            lap[s.walls] = 0.0
     if q2 is None:
         return None
-    d = (v[1:] - v[:-1]) * inv_h  # D+ of a node, D- of the next
-    a = np.zeros(u.shape)
-    b = np.zeros(u.shape)
-    np.maximum(d[a_from], 0.0, out=a.swapaxes(0, axis)[a_to])
-    np.maximum(-d[b_from], 0.0, out=b.swapaxes(0, axis)[b_to])
-    q2 += a * a
-    q2 += b * b
-    return a, b
+    d = s.d
+    np.subtract(v[s.up], v[s.down], out=d)
+    d *= inv_h
+    np.negative(d, out=s.neg_d)
+    pair = np.maximum(s.diff, 0.0)
+    np.multiply(pair, pair, out=s.diff)
+    if axis:
+        q2 += s.a2
+        q2 += s.b2
+    else:
+        np.add(s.a2, s.b2, out=q2)
+    return pair[s.a], pair[s.b]
 
 
 def step_numpy(u, f, dt, inv_h, inv_h2, m, out, periodic):
     """out = u + dt * ((lap - H) + f) on a box or a torus of any dimension."""
-    out.fill(0.0)
-    q2 = np.zeros(u.shape)
+    q2 = _node_scratch(u.shape)
     for axis in range(u.ndim):
         axis_terms(u, axis, periodic, inv_h, inv_h2, out, q2)
     if m != 2.0:  # at m = 2, H = q2 exactly, without pow
@@ -127,15 +202,15 @@ step_torus_1d_numpy = step_torus_2d_numpy = partial(step_numpy, periodic=True)
 
 def heat_step_dirichlet_numpy(w, pot, dt, inv_h2, out):
     """w_t = lap(w) - pot*w with w pinned to zero on the boundary ring."""
-    out.fill(0.0)
     for axis in range(w.ndim):
         axis_terms(w, axis, False, None, inv_h2, lap=out)
-    out -= pot * w
+    pot_w = _node_scratch(w.shape)
+    np.multiply(pot, w, out=pot_w)
+    out -= pot_w
     out *= dt
     out += w
-    for axis in range(w.ndim):
-        ring = out.swapaxes(0, axis)
-        ring[0] = ring[-1] = 0.0
+    for axis, n in enumerate(w.shape):
+        out[(slice(None),) * axis + (slice(None, None, max(n - 1, 1)),)] = 0.0
     return out
 
 

@@ -166,18 +166,21 @@ def evolve(
 
     steps = 0
     eps = 1e-12
+    h, periodic = grid.spacing, grid.periodic
     next_sample = (math.floor(t / sample_interval + 1e-9) + 1) * sample_interval
     while t < T - eps:
         target = min(next_sample, T)
         if next_snap is not None:
             target = min(target, next_snap)
         dt = min(dt_cfl, target - t)
-        kernels.vhj_step(u, fvals, dt, grid.spacing, m, grid.periodic, out)
+        kernels.vhj_step(u, fvals, dt, h, m, periodic, out)
         u, out = out, u
         t += dt
         steps += 1
         if steps % refresh_every == 0:
             grad = _measure_gradient(u, grid)
+            if not math.isfinite(grad) and not np.all(np.isfinite(u)):
+                _raise_nonfinite(u, t, grid)
             if not math.isfinite(grad) or grad > blow_up_cap:
                 raise BlowUpError(
                     f"gradient guard fired at t={t:.6g}: measured {grad:.4g} "
@@ -219,7 +222,7 @@ def evolve(
 
 
 def _raise_nonfinite(u, t, grid):
-    bad = tuple(np.argwhere(~np.isfinite(u))[0])
+    bad = tuple(int(i) for i in np.argwhere(~np.isfinite(u))[0])
     raise BlowUpError(
         f"non-finite value at node {bad}, t={t:.6g}; CFL violation or blow-up",
         t=t,

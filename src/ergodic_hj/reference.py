@@ -212,7 +212,7 @@ def hopf_cole_parabolic(
             kernels.heat_step(w, f.values, dt, h, out)
             w, out = out, w
             t += dt
-            wmax = float(np.max(w))
+            wmax = np.maximum.reduce(w, axis=None)  # np.max's wrapper costs more
             if wmax <= 0.0:
                 raise StagnationError(
                     "transformed field collapsed to zero; horizon too long for "

@@ -163,6 +163,26 @@ def test_longtime_uses_artifacts_and_reports(quick_cfg, tmp_path):
     assert payload["barriers_all_passed"] is True
 
 
+def test_longtime_writes_the_evolution_trace(quick_cfg, tmp_path):
+    erg = tmp_path / "erg"
+    assert main(["ergodic", "--config", quick_cfg, "--out", str(erg)]) == 0
+    outs = [tmp_path / "lt1", tmp_path / "lt2"]
+    for out in outs:
+        args = ["--config", quick_cfg, "--out", str(out), "--artifacts", str(erg)]
+        assert main(["longtime"] + args) == 0
+    lines = (outs[0] / "trace.csv").read_text().splitlines()
+    header = [r for r in lines if r.startswith("#")]
+    history = (outs[0] / "history.csv").read_text().splitlines()
+    assert header == [r for r in history if r.startswith("#")]  # resolved config
+    rows = [r for r in lines if r and not r.startswith("#")]
+    assert rows[0] == "t,slope,max_grad,holder_q,dt"
+    # one row per sample: every 0.25 up to the horizon of 8
+    times = [float(r.split(",")[0]) for r in rows[1:]]
+    assert times == pytest.approx([0.25 * k for k in range(1, 33)], abs=1e-9)
+    assert all(len(r.split(",")) == 5 for r in rows[1:])
+    assert filecmp.cmp(outs[0] / "trace.csv", outs[1] / "trace.csv", shallow=False)
+
+
 def test_longtime_missing_artifacts_names_file(quick_cfg, tmp_path, capsys):
     code = main(
         [

@@ -1,4 +1,5 @@
-"""Backend agreement: the numba kernels and the numpy fallbacks must match."""
+"""Step kernels: numba and numpy agree, the numpy path matches a scalar
+reference, and the calls the benchmark counts stay as they are."""
 
 import numpy as np
 import pytest
@@ -170,3 +171,181 @@ def test_env_flag_forces_numpy_backend():
 def test_vhj_step_rejects_3d():
     with pytest.raises(ValueError):
         kernels.vhj_step(np.zeros((3, 3, 3)), np.zeros((3, 3, 3)), 0.1, 0.5, 2.0, False)
+
+
+# ---------------------------------------------------------------------------
+# the numpy path against a node-by-node scalar reference
+# ---------------------------------------------------------------------------
+
+
+def _neighbours(u, node, axis, periodic):
+    """(u-, u+) along ``axis``; None past a box wall."""
+    n = u.shape[axis]
+
+    def at(j):
+        if not periodic and not 0 <= j < n:
+            return None
+        idx = list(node)
+        idx[axis] = j % n
+        return float(u[tuple(idx)])
+
+    return at(node[axis] - 1), at(node[axis] + 1)
+
+
+def _reference_step(u, f, dt, h, m, periodic):
+    """The documented expression tree, one node at a time in Python floats:
+    ((u+ - 2u) + u-) * inv_h2 per axis, a = max((u - u-) * inv_h, 0),
+    b = max(-((u+ - u) * inv_h), 0), q2 = ((ax^2 + bx^2) + ay^2) + by^2.
+    Along a box wall's normal axis the node gets no diffusion and only the
+    inward member of the pair."""
+    inv_h = 1.0 / h
+    inv_h2 = inv_h * inv_h
+    out = np.empty_like(u)
+    for node in np.ndindex(u.shape):
+        c = float(u[node])
+        lap = q2 = None
+        for axis in range(u.ndim):
+            um, up = _neighbours(u, node, axis, periodic)
+            wall = um is None or up is None
+            lx = 0.0 if wall else ((up - 2.0 * c) + um) * inv_h2
+            a = 0.0 if um is None else max((c - um) * inv_h, 0.0)
+            b = 0.0 if up is None else max(-((up - c) * inv_h), 0.0)
+            lap = lx if lap is None else lap + lx
+            q2 = a * a + b * b if q2 is None else (q2 + a * a) + b * b
+        ham = q2 if m == 2.0 else q2 ** (0.5 * m)
+        out[node] = c + dt * ((lap - ham) + float(f[node]))
+    return out
+
+
+def _reference_heat(w, pot, dt, h):
+    """w + dt * (lap - pot*w) node by node, zero on the boundary ring."""
+    inv_h2 = 1.0 / (h * h)
+    out = np.zeros_like(w)
+    for node in np.ndindex(w.shape):
+        c = float(w[node])
+        lap = None
+        for axis in range(w.ndim):
+            wm, wp = _neighbours(w, node, axis, False)
+            if wm is None or wp is None:
+                break
+            lx = ((wp - 2.0 * c) + wm) * inv_h2
+            lap = lx if lap is None else lap + lx
+        else:
+            out[node] = c + dt * (lap - float(pot[node]) * c)
+    return out
+
+
+# odd, unequal sizes so that a swapped axis or a shifted wall shows
+REFERENCE_SHAPES = [(9,), (7, 6)]
+
+
+@pytest.mark.parametrize("m", [2.0, 1.5])
+@pytest.mark.parametrize("shape", REFERENCE_SHAPES, ids=["1d", "2d"])
+@pytest.mark.parametrize("kind", ["box", "torus"])
+def test_numpy_step_matches_scalar_reference(kind, shape, m):
+    rng = np.random.default_rng(17)
+    u = rng.normal(scale=2.0, size=shape)
+    f = rng.uniform(0.0, 3.0, size=shape)
+    periodic = kind == "torus"
+    out = kernels.vhj_step(u, f, 1e-3, 0.25, m, periodic, np.full(shape, np.nan))
+    ref = _reference_step(u, f, 1e-3, 0.25, m, periodic)
+    if m == 2.0:
+        assert out.tobytes() == ref.tobytes()
+    else:  # vector and scalar pow may differ by an ulp
+        np.testing.assert_array_max_ulp(out, ref, maxulp=1)
+
+
+@pytest.mark.parametrize("shape", REFERENCE_SHAPES, ids=["1d", "2d"])
+def test_numpy_heat_step_matches_scalar_reference(shape):
+    rng = np.random.default_rng(19)
+    w = rng.uniform(0.0, 2.0, size=shape)
+    pot = rng.uniform(0.0, 3.0, size=shape)
+    out = kernels.heat_step(w, pot, 1e-3, 0.25, np.full(shape, np.nan))
+    assert out.tobytes() == _reference_heat(w, pot, 1e-3, 0.25).tobytes()
+
+
+def test_axis_terms_pair_survives_later_calls():
+    # the Newton Jacobian keeps (a, b) while the next axis and the next
+    # iterate are evaluated; scratch reuse must not overwrite them
+    rng = np.random.default_rng(23)
+    u = rng.normal(size=(7, 6))
+    lap, q2 = np.empty(u.shape), np.empty(u.shape)
+    a, b = kernels.axis_terms(u, 0, False, 4.0, 16.0, lap, q2)
+    kept = a.copy(), b.copy()
+    kernels.axis_terms(u, 1, False, 4.0, 16.0, lap, q2)
+    kernels.axis_terms(-u, 0, False, 4.0, 16.0, lap, q2)
+    kernels.vhj_step(-u, u, 0.1, 0.25, 2.0, False)
+    assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
+
+
+# ---------------------------------------------------------------------------
+# what perfbench/ relies on: kernel names and signatures, and one
+# vhj_step / heat_step call per step with dt as positional argument 2
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, periodic",
+    [("step_box_1d", False), ("step_torus_1d", True), ("step_box_2d", False),
+     ("step_torus_2d", True)],
+)
+def test_step_kernels_keep_the_benchmark_signature(name, periodic):
+    shape = (9,) if name.endswith("1d") else (7, 6)
+    rng = np.random.default_rng(29)
+    u, f = rng.normal(size=shape), rng.uniform(0.0, 3.0, size=shape)
+    out = np.empty(shape)
+    # fn(u, f, dt, inv_h, inv_h2, m, out), writing into out
+    getattr(kernels, name)(u, f, 1e-3, 4.0, 16.0, 2.0, out)
+    assert out.tobytes() == kernels.vhj_step(u, f, 1e-3, 0.25, 2.0, periodic).tobytes()
+
+
+def test_heat_kernel_keeps_the_benchmark_signature():
+    rng = np.random.default_rng(31)
+    w, pot = rng.uniform(0.0, 2.0, size=9), rng.uniform(0.0, 3.0, size=9)
+    out = np.empty(9)
+    # fn(w, pot, dt, inv_h2, out), writing into out
+    kernels.heat_step_dirichlet_1d(w, pot, 1e-3, 16.0, out)
+    assert out.tobytes() == kernels.heat_step(w, pot, 1e-3, 0.25).tobytes()
+
+
+def _recording(monkeypatch, name):
+    """Replace ``kernels.<name>`` by a wrapper that logs each call's dt."""
+    original = getattr(kernels, name)
+    dts = []
+
+    def wrapper(*args, **kwargs):
+        dts.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, name, wrapper)
+    return original, dts
+
+
+def test_evolve_calls_vhj_step_once_per_step(monkeypatch):
+    from ergodic_hj import ProblemSpec, SourceSpec, evolve, make_grid, sample
+
+    p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
+    g = make_grid("box", 2.0, 0.125, 1)
+    original, dts = _recording(monkeypatch, "vhj_step")
+    final = evolve(p, g, 0.6, refresh_every=7)
+    assert dts and sum(dts) == pytest.approx(0.6, rel=1e-12)
+    # replaying the recorded steps reproduces the run: one call per step
+    u, f = sample(p.initial, g).values, sample(p.source, g).values
+    for dt in dts:
+        u = original(u, f, dt, g.spacing, 2.0, False)
+    assert np.array_equal(u, final.u.values)
+
+
+def test_parabolic_oracle_calls_heat_step_once_per_step(monkeypatch):
+    from ergodic_hj import SourceSpec, make_grid, sample
+    from ergodic_hj.reference import hopf_cole_parabolic
+
+    g = make_grid("box", 2.0, 0.25, 1)
+    f = sample(SourceSpec("power", alpha=2.0), g)
+    _, dts = _recording(monkeypatch, "heat_step")
+    hopf_cole_parabolic(f, GridFunction(g, np.zeros(g.shape)), [0.3, 0.5])
+    dt_stable = 0.9 / (2.0 / g.spacing**2 + float(np.max(f.values)))
+    # full stable steps, each output time reached by at most one shorter one
+    assert sum(dt != dt_stable for dt in dts) <= 2
+    assert min(abs(t - 0.3) for t in np.cumsum(dts)) < 1e-12
+    assert sum(dts) == pytest.approx(0.5, rel=1e-12)

@@ -53,7 +53,7 @@ def test_stationary_profile_increments_by_lambda_dt(m):
 
 def test_step_detects_nonfinite():
     # a huge source overflows the squared gradient on the second step; the
-    # end-of-run check names a node, which the gradient guard does not
+    # check at the next sample names a node, as plain ints
     p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
     g = make_grid("box", 2.0, 0.25, 1)
     f = np.zeros(g.shape)
@@ -61,7 +61,17 @@ def test_step_detects_nonfinite():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as err:
             evolve(p, g, 0.1, source=GridFunction(g, f))
-    assert err.value.node is not None
+    node = err.value.node
+    assert isinstance(node, tuple) and node and all(type(i) is int for i in node)
+    assert "np.int64" not in str(err.value)
+    # a gradient refresh that reads the non-finite state names the node too,
+    # here the one that overflowed first, instead of reporting a measurement
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as err:
+            src = GridFunction(g, f)
+            evolve(p, g, 0.1, source=src, refresh_every=1, blow_up_cap=math.inf)
+    assert err.value.node == (8,)
+    assert str(err.value).startswith("non-finite value at node (8,), t=")
 
 
 def test_step_bc_grid_consistency():
