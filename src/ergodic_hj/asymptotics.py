@@ -7,9 +7,13 @@ between the shifted evolution and the profile; a flatness certificate
 
 The barrier checks rebuild, on the grid, the super- and subsolution bounds
 used to squeeze the shifted evolution: a scaled state-constraint profile
-drifting upward, and a scaled periodic profile drifting downward.  Each check
-verifies the defining inequality of the barrier (discrete residual), its
-initial-time domination, and domination at every later snapshot.
+drifting upward, and a scaled periodic profile drifting downward.  Both sides
+run one body with a sign s = +1 (upper) or -1 (lower), which verifies the
+defining inequality of the barrier (the upwind residual from
+``scheme.residual_field``), its initial-time domination, and domination at
+every later snapshot; each margin is min s*(barrier - v).  The public checks
+keep only what differs between the sides: the run kind and scale clamp, the
+window extraction, the source, and the offset.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .grid import (
 )
 from .parabolic import DiagnosticsTrace, evolve
 from .problem import ProblemSpec
-from .scheme import SchemeConfig, laplacian_field, hamiltonian_field
+from .scheme import SchemeConfig, residual_field
 
 
 @dataclass
@@ -204,10 +208,6 @@ class BarrierVerdict:
     passed: bool
 
 
-def _residual_threshold(spacing, resolution_constant, slack):
-    return resolution_constant * spacing * spacing + slack
-
-
 def barrier_check_upper(
     phi_r_run: ErgodicApprox,
     phi: GridFunction,
@@ -229,70 +229,18 @@ def barrier_check_upper(
     snapshot.  The offset min(mu*phi_R - phi) is reported; it must tend to
     zero along the box ladder.
     """
-    if epsilon <= 0:
-        raise ConfigError("barrier margin epsilon must be positive")
-    if phi_r_run.kind != "state_constraint":
-        raise ConfigError("upper barrier needs a state-constraint run")
-    t_ref = pick_reference_time(report, epsilon)
+    t_ref = _reference_time(
+        "upper", phi_r_run, "state_constraint", phi, epsilon, report
+    )
     prof = phi_r_run.profile
-    R = prof.grid.half_width
-    if not grids_aligned(prof.grid, phi.grid):
-        raise ConfigError("profile grids must share a spacing")
-    mu = max(1.0 + phi_r_run.constant - lambda_star, 1.0)
-
-    phi_on_R = restrict(phi, min(R, phi.grid.half_width))
-    prof_on_R = restrict(prof, phi_on_R.grid.half_width)
-    m_r = float(np.min(mu * prof_on_R.values - phi_on_R.values))
-    cap_m_r = max(-m_r, 0.0)
-
-    # (a) supersolution residual of the barrier on the run's own box:
-    # drift + [-lap(mu phi_R) + |D(mu phi_R)|^m - (f - lambda*)] >= -O(h^2).
-    # Upwind stencil: the profile is the fixed point of the monotone scheme,
-    # so this is the inequality the discrete comparison argument actually uses
-    drift = mu * phi_r_run.constant - lambda_star
-    scaled = GridFunction(prof.grid, mu * prof.values)
-    lap = laplacian_field(scaled)
-    ham = hamiltonian_field(scaled, problem.m, "upwind")
-    f_run = sample(problem.source, prof.grid)
-    f_interior = f_run.values[(slice(1, -1),) * prof.grid.dim]
-    res_field = drift - lap + ham - (f_interior - lambda_star)
-    res_min = float(np.min(res_field))
-    res_bound = -_residual_threshold(prof.grid.spacing, resolution_constant, slack)
-    residual_ok = res_min >= res_bound
-
-    # (b) barrier at time zero dominates v(., t_ref) on the box
-    v_ref = _snapshot_at(report, t_ref)
-    v_on_R = restrict(v_ref, prof_on_R.grid.half_width)
-    barrier0 = mu * prof_on_R.values + c_hat + epsilon + cap_m_r
-    init_margin = float(np.min(barrier0 - v_on_R.values))
-    initial_ok = init_margin >= -domination_tol
-
-    # (c) the drifting barrier dominates every later snapshot on the window
-    w = report.window_half_width
-    prof_k = restrict(prof, w)
-    later_margin = math.inf
-    for t, v_snap in report.snapshots:
-        if t <= t_ref + 1e-9:
-            continue
-        dt = t - t_ref
-        v_k = restrict(v_snap, w)
-        barrier_t = mu * prof_k.values + c_hat + epsilon + cap_m_r + drift * dt
-        later_margin = min(later_margin, float(np.min(barrier_t - v_k.values)))
-    later_ok = later_margin >= -domination_tol
-    return BarrierVerdict(
-        side="upper",
-        epsilon=epsilon,
-        t_ref=t_ref,
-        mu_or_gamma=mu,
-        offset_min=m_r,
-        residual_extreme=res_min,
-        residual_bound=res_bound,
-        residual_ok=residual_ok,
-        initial_domination_margin=init_margin,
-        initial_ok=initial_ok,
-        later_domination_margin=later_margin,
-        later_ok=later_ok,
-        passed=residual_ok and initial_ok and later_ok,
+    return _barrier_verdict(
+        "upper", phi_r_run, phi, lambda_star, c_hat, epsilon, t_ref, report,
+        problem.m, resolution_constant, slack, domination_tol,
+        scale=max(1.0 + phi_r_run.constant - lambda_star, 1.0),
+        source=sample(problem.source, prof.grid).values,
+        window=restrict,
+        init_w=min(prof.grid.half_width, phi.grid.half_width),
+        offset=lambda m_r: max(-m_r, 0.0),
     )
 
 
@@ -312,76 +260,106 @@ def barrier_check_lower(
 ) -> BarrierVerdict:
     """Subsolution barrier from the periodic profile, mirroring the upper one.
 
+    The residual is taken on the torus against the capped source min(f, cutoff),
+    whose cap slack keeps it a subsolution against the true source as well;
+    domination at t_ref on the largest node-aligned window inside the cell.
     gamma = 1 + nu_R - lambda* must not exceed 1 beyond tolerance (the
     periodic constant sitting above the ergodic constant signals inconsistent
     brackets); small overshoots clamp to 1.
     """
-    if epsilon <= 0:
-        raise ConfigError("barrier margin epsilon must be positive")
-    if psi_run.kind != "periodic":
-        raise ConfigError("lower barrier needs a periodic run")
-    t_ref = pick_reference_time(report, epsilon)
+    t_ref = _reference_time("lower", psi_run, "periodic", phi, epsilon, report)
     gamma = 1.0 + psi_run.constant - lambda_star
     if gamma > 1.0 + gamma_tol:
         raise ConfigError(
             f"periodic constant {psi_run.constant:.6g} exceeds the ergodic "
             f"constant {lambda_star:.6g} beyond tolerance; brackets inconsistent"
         )
-    gamma = min(gamma, 1.0)
     psi = psi_run.profile
-    S = psi.grid.half_width
-    if not grids_aligned(psi.grid, phi.grid):
-        raise ConfigError("profile grids must share a spacing")
-    cell_w = min(S - psi.grid.spacing, phi.grid.half_width)
     h = psi.grid.spacing
-    cell_w = int(round(cell_w / h)) * h
-    psi_cell = torus_values_on_window(psi, cell_w)
-    phi_cell = restrict(phi, cell_w)
-    tilde_m = float(np.min(phi_cell.values - gamma * psi_cell.values))
+    cell_w = min(psi.grid.half_width - h, phi.grid.half_width)
+    return _barrier_verdict(
+        "lower", psi_run, phi, lambda_star, c_hat, epsilon, t_ref, report,
+        problem.m, resolution_constant, slack, domination_tol,
+        scale=min(gamma, 1.0),
+        source=np.minimum(sample(problem.source, psi.grid).values, psi_run.cutoff),
+        window=torus_values_on_window,
+        init_w=int(round(cell_w / h)) * h,
+        offset=lambda tilde_m: tilde_m,
+    )
 
-    # (a) subsolution residual on the torus against the capped source, with
-    # the cap slack keeping it a subsolution against the true source as well.
-    # Upwind stencil: the capped source has a kink, so the periodic profile
-    # is only C^{2,1} there and central differencing loses an order; the
-    # monotone stencil is what the discrete comparison argument uses anyway
-    drift = gamma * psi_run.constant - lambda_star
-    scaled = GridFunction(psi.grid, gamma * psi.values)
-    lap = laplacian_field(scaled)
-    ham = hamiltonian_field(scaled, problem.m, "upwind")
-    f_cell = sample(problem.source, psi.grid)
-    f_capped = np.minimum(f_cell.values, psi_run.cutoff)
-    res_field = drift - lap + ham - (f_capped - lambda_star)
-    res_max = float(np.max(res_field))
-    res_bound = _residual_threshold(psi.grid.spacing, resolution_constant, slack)
-    residual_ok = res_max <= res_bound
 
-    # (b) barrier at time zero sits below v(., t_ref) on the cell window
-    v_ref = _snapshot_at(report, t_ref)
-    v_cell = restrict(v_ref, cell_w)
-    barrier0 = gamma * psi_cell.values + c_hat - epsilon + tilde_m
-    init_margin = float(np.min(v_cell.values - barrier0))
+def _reference_time(side, run, kind, phi, epsilon, report):
+    """Validate the inputs both barrier checks share, then pick t_ref."""
+    if epsilon <= 0:
+        raise ConfigError("barrier margin epsilon must be positive")
+    if run.kind != kind:
+        raise ConfigError(f"{side} barrier needs a {kind.replace('_', '-')} run")
+    t_ref = pick_reference_time(report, epsilon)
+    if not grids_aligned(run.profile.grid, phi.grid):
+        raise ConfigError("profile grids must share a spacing")
+    return t_ref
+
+
+def _barrier_verdict(
+    side, run, phi, lambda_star, c_hat, epsilon, t_ref, report,
+    m, resolution_constant, slack, domination_tol,
+    *, scale, source, window, init_w, offset,
+) -> BarrierVerdict:
+    """Checks (a)-(c) for either side, with s = +1 (upper) or -1 (lower).
+
+    The barrier is scale*profile + c_hat + s*eps + offset + drift*(t - t_ref),
+    drift = scale*constant - lambda*.  ``window(gf, w)`` puts the profile on a
+    box window, and (b) uses the window of half-width ``init_w``.  ``offset``
+    maps the gap min s*(scale*profile - phi) on that window to the lift.
+    Every margin is min s*(barrier - v), so it is nonnegative when the
+    barrier lies on its side of v.  Products are taken before the difference
+    (s*a - s*b) so that an exact tie yields +0.0 on both sides.
+    """
+    s = 1.0 if side == "upper" else -1.0
+    prof = run.profile
+    drift = scale * run.constant - lambda_star
+    scaled = GridFunction(prof.grid, scale * prof.values)
+
+    # (a) the barrier residual against source - lambda* on the run's grid.
+    # Upwind stencil: the profile is the fixed point of the monotone scheme,
+    # so this is the inequality the discrete comparison argument actually
+    # uses (and where a capped source has a kink, central differences would
+    # lose an order)
+    res = residual_field(drift, scaled, source - lambda_star, m, "upwind")
+    res_extreme = s * float(np.min(s * res))
+    h = prof.grid.spacing
+    threshold = resolution_constant * h * h + slack
+    residual_ok = s * res_extreme >= -threshold
+
+    def margin(barrier, v, w):
+        return float(np.min(s * barrier - s * restrict(v, w).values))
+
+    # (b) at barrier time zero the barrier lies on its side of v(., t_ref)
+    scaled_0 = window(scaled, init_w).values
+    gap = margin(scaled_0, phi, init_w)
+    lift = offset(gap)
+    barrier_0 = scaled_0 + c_hat + s * epsilon + lift
+    init_margin = margin(barrier_0, _snapshot_at(report, t_ref), init_w)
     initial_ok = init_margin >= -domination_tol
 
-    # (c) stays below on the window at every later snapshot
+    # (c) the drifting barrier stays there on the window at every later snapshot
     w = report.window_half_width
-    psi_k = torus_values_on_window(psi, w)
+    barrier_w = window(scaled, w).values + c_hat + s * epsilon + lift
     later_margin = math.inf
     for t, v_snap in report.snapshots:
         if t <= t_ref + 1e-9:
             continue
-        dt = t - t_ref
-        v_k = restrict(v_snap, w)
-        barrier_t = gamma * psi_k.values + c_hat - epsilon + tilde_m + drift * dt
-        later_margin = min(later_margin, float(np.min(v_k.values - barrier_t)))
+        barrier_t = barrier_w + drift * (t - t_ref)
+        later_margin = min(later_margin, margin(barrier_t, v_snap, w))
     later_ok = later_margin >= -domination_tol
     return BarrierVerdict(
-        side="lower",
+        side=side,
         epsilon=epsilon,
         t_ref=t_ref,
-        mu_or_gamma=gamma,
-        offset_min=tilde_m,
-        residual_extreme=res_max,
-        residual_bound=res_bound,
+        mu_or_gamma=scale,
+        offset_min=gap,
+        residual_extreme=res_extreme,
+        residual_bound=-s * threshold,
         residual_ok=residual_ok,
         initial_domination_margin=init_margin,
         initial_ok=initial_ok,

@@ -70,6 +70,16 @@ class Grid:
         return np.meshgrid(ax, ax, indexing="ij")
 
 
+def interior_grid(g: Grid) -> Grid:
+    """The box shrunk by one node per side, where box-interior fields live."""
+    return Grid(
+        kind="box",
+        half_width=g.half_width - g.spacing,
+        nodes_per_axis=g.nodes_per_axis - 2,
+        dim=g.dim,
+    )
+
+
 def make_grid(kind: str, half_width: float, spacing: float, dim: int = 1) -> Grid:
     """Build a grid from a requested spacing; the actual spacing is rederived
     from the integer node count so node coordinates stay reproducible."""

@@ -25,6 +25,11 @@ from .grid import Grid, GridFunction, grids_equal, restrict, window_slices
 from .problem import ProblemSpec
 from .scheme import SchemeConfig, cfl_timestep
 
+#: the CFL bound uses L = max(GRAD_HEADROOM * measured gradient, grad_cap)
+GRAD_HEADROOM = 1.5
+#: Hoelder quotients in the trace compare samples at most this far apart
+HOLDER_MAX_GAP = 1.0
+
 
 @dataclass
 class TraceSample:
@@ -32,7 +37,7 @@ class TraceSample:
     slope: float  # nan until one slope window has elapsed
     max_grad: float
     holder_q: float  # nan until two samples exist
-    dt: float
+    dt: float  # the CFL step in force at the sample
 
 
 @dataclass
@@ -106,7 +111,6 @@ def evolve(
     grid: Grid,
     T: float,
     config: SchemeConfig | None = None,
-    state: EvolutionState | None = None,
     *,
     initial: GridFunction | None = None,
     source: GridFunction | None = None,
@@ -114,46 +118,38 @@ def evolve(
     slope_window: float = 1.0,
     window_half_width: float | None = None,
     refresh_every: int = 100,
-    grad_headroom: float = 1.5,
     blow_up_cap: float = 1e3,
-    holder_max_gap: float = 1.0,
     snapshot_times=(),
 ) -> EvolutionState:
-    """March to time T with adaptive CFL steps, populating the trace.
+    """March from t = 0 to time T with adaptive CFL steps, populating the trace.
 
-    Passing the returned state back in resumes the run (T is then the new
-    final time).  ``snapshot_times`` collects full-domain copies of u.
+    Each trace sample records the CFL step in force; the steps shortened to
+    land on sample and snapshot times are not recorded.  ``snapshot_times``
+    collects full-domain copies of u.
     """
     from .grid import sample as sample_fn
 
     if T < 0:
         raise ConfigError("T must be nonnegative")
     config = config or SchemeConfig()
-    bc = "periodic" if grid.periodic else "state_constraint"
     if source is None:
         source = sample_fn(problem.source, grid)
-    if state is None:
-        u0 = initial if initial is not None else sample_fn(problem.initial, grid)
-        if not grids_equal(u0.grid, grid):
-            raise ConfigError("initial data grid does not match the run grid")
-        w = window_half_width or default_window_half_width(grid)
-        trace = DiagnosticsTrace(window_half_width=w, slope_window=slope_window)
-        state = EvolutionState(0.0, u0, trace)
-    trace = state.trace
-    w = trace.window_half_width
+    u0 = initial if initial is not None else sample_fn(problem.initial, grid)
+    if not grids_equal(u0.grid, grid):
+        raise ConfigError("initial data grid does not match the run grid")
+    w = window_half_width or default_window_half_width(grid)
+    trace = DiagnosticsTrace(window_half_width=w, slope_window=slope_window)
     ks = window_slices(grid, w)
     m = problem.m
-    u = state.u.values.copy()
+    u = u0.values.copy()
     fvals = source.values
-    t = state.t
+    t = 0.0
     out = np.empty_like(u)
-
-    if not trace.window_means:
-        trace.window_means.append((t, float(np.mean(u[ks]))))
-        trace.window_snapshots.append((t, u[ks].copy()))
+    trace.window_means.append((t, float(np.mean(u[ks]))))
+    trace.window_snapshots.append((t, u[ks].copy()))
 
     grad = _measure_gradient(u, grid)
-    L = max(grad_headroom * grad, config.grad_cap)
+    L = max(GRAD_HEADROOM * grad, config.grad_cap)
     live_cfg = SchemeConfig(config.cfl_safety, L)
     dt_cfl = cfl_timestep(grid, live_cfg, m)
 
@@ -167,7 +163,7 @@ def evolve(
     steps = 0
     eps = 1e-12
     h, periodic = grid.spacing, grid.periodic
-    next_sample = (math.floor(t / sample_interval + 1e-9) + 1) * sample_interval
+    next_sample = sample_interval
     while t < T - eps:
         target = min(next_sample, T)
         if next_snap is not None:
@@ -188,7 +184,7 @@ def evolve(
                     t=t,
                     max_gradient=grad,
                 )
-            L = max(grad_headroom * grad, config.grad_cap)
+            L = max(GRAD_HEADROOM * grad, config.grad_cap)
             live_cfg = SchemeConfig(config.cfl_safety, L)
             dt_cfl = cfl_timestep(grid, live_cfg, m)
         if next_snap is not None and t >= next_snap - eps:
@@ -206,9 +202,9 @@ def evolve(
                 if abs((t - ts) - trace.slope_window) < 1e-9:
                     slope = (mean_k - ms) / trace.slope_window
                     break
-            hq = _holder_against_recent(uk, t, trace.window_snapshots, holder_max_gap)
+            hq = _holder_against_recent(uk, t, trace.window_snapshots, HOLDER_MAX_GAP)
             gwin = _measure_gradient(uk, grid) if uk.ndim == grid.dim else float("nan")
-            trace.append(TraceSample(t, slope, gwin, hq, dt))
+            trace.append(TraceSample(t, slope, gwin, hq, dt_cfl))
             trace.window_means.append((t, mean_k))
             trace.window_snapshots.append((t, uk))
             next_sample += sample_interval

@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from . import kernels
 from .errors import ConfigError, StagnationError
-from .grid import Grid, GridFunction, grids_equal
+from .grid import GridFunction, grids_equal, interior_grid
 
 
 @dataclass(frozen=True)
@@ -197,12 +197,7 @@ def hopf_cole_parabolic(
     fmax = float(np.max(f.values))
     dt_stable = safety / (2.0 * g.dim / (h * h) + fmax)
     interior = (slice(1, -1),) * g.dim
-    sub = Grid(
-        kind="box",
-        half_width=g.half_width - h,
-        nodes_per_axis=g.nodes_per_axis - 2,
-        dim=g.dim,
-    )
+    sub = interior_grid(g)
     t = 0.0
     shift_exp = 0  # integer power-of-two exponent, exact bookkeeping
     fields = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .grid import Grid, GridFunction, grids_equal
+from .grid import Grid, GridFunction, grids_equal, interior_grid
 from .kernels import axis_terms
 
 
@@ -97,15 +97,6 @@ def hamiltonian_field(gf: GridFunction, m: float, stencil="upwind") -> np.ndarra
     return q2 ** (0.5 * m)
 
 
-def _interior_grid(g: Grid) -> Grid:
-    return Grid(
-        kind="box",
-        half_width=g.half_width - g.spacing,
-        nodes_per_axis=g.nodes_per_axis - 2,
-        dim=g.dim,
-    )
-
-
 # ---------------------------------------------------------------------------
 # per-node ops
 # ---------------------------------------------------------------------------
@@ -183,6 +174,23 @@ def _check_same_grid(a: GridFunction, b: GridFunction):
         raise GridMismatchError("fields must share a grid")
 
 
+def residual_field(
+    constant: float,
+    profile: GridFunction,
+    rhs: np.ndarray,
+    m: float,
+    stencil: str,
+) -> np.ndarray:
+    """constant - lap(phi) + H(phi) - rhs, with ``rhs`` given on every node.
+
+    Returned on the box interior (all nodes for tori).  Every residual and
+    barrier check evaluates this one expression.
+    """
+    lap = laplacian_field(profile)
+    ham = hamiltonian_field(profile, m, stencil)
+    return constant - lap + ham - _interior(profile.grid, rhs)
+
+
 def residual_ergodic(
     constant: float,
     profile: GridFunction,
@@ -198,10 +206,15 @@ def residual_ergodic(
     """
     _check_same_grid(profile, source)
     g = profile.grid
-    lap = laplacian_field(profile)
-    ham = hamiltonian_field(profile, m, stencil)
-    res = constant - lap + ham - _interior(g, source.values)
-    return GridFunction(g if g.periodic else _interior_grid(g), res)
+    res = residual_field(constant, profile, source.values, m, stencil)
+    return GridFunction(g if g.periodic else interior_grid(g), res)
+
+
+def _scaled_residual(scale, constant_r, profile, source, m):
+    _check_same_grid(profile, source)
+    scaled = GridFunction(profile.grid, scale * profile.values)
+    rhs = scale * (source.values - constant_r)
+    return residual_field(0.0, scaled, rhs, m, "central")
 
 
 def residual_scaled_super(
@@ -221,12 +234,7 @@ def residual_scaled_super(
             f"supersolution scaling needs scale >= 1, got {scale}; "
             "use residual_scaled_sub for scales below 1"
         )
-    _check_same_grid(profile, source)
-    scaled = GridFunction(profile.grid, scale * profile.values)
-    lap = laplacian_field(scaled)
-    ham = hamiltonian_field(scaled, m, "central")
-    rhs = scale * (_interior(profile.grid, source.values) - constant_r)
-    return float(np.min(-lap + ham - rhs))
+    return float(np.min(_scaled_residual(scale, constant_r, profile, source, m)))
 
 
 def residual_scaled_sub(
@@ -247,9 +255,4 @@ def residual_scaled_sub(
         )
     if not profile.grid.periodic:
         raise ConfigError("residual_scaled_sub expects a torus profile")
-    _check_same_grid(profile, source)
-    scaled = GridFunction(profile.grid, scale * profile.values)
-    lap = laplacian_field(scaled)
-    ham = hamiltonian_field(scaled, m, "central")
-    rhs = scale * (source.values - constant_r)
-    return float(np.max(-lap + ham - rhs))
+    return float(np.max(_scaled_residual(scale, constant_r, profile, source, m)))

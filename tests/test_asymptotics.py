@@ -5,7 +5,9 @@ import pytest
 
 from ergodic_hj import (
     ConfigError,
+    ErgodicApprox,
     GridFunction,
+    LargeTimeReport,
     ProblemSpec,
     SourceSpec,
     barrier_check_lower,
@@ -19,7 +21,7 @@ from ergodic_hj import (
     solve_periodic,
     solve_state_constraint,
 )
-from ergodic_hj.asymptotics import pick_reference_time
+from ergodic_hj.asymptotics import LargeTimeHistoryRow, pick_reference_time
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +229,69 @@ def test_sandwich_between_barriers(oscillator, osc_runs, osc_report):
         v_k = restrict(v_snap, report.window_half_width).values
         assert np.all(v_k <= phi_k_vals + report.c_hat + eps + tol)
         assert np.all(v_k >= phi_k_vals + report.c_hat - eps - tol)
+
+
+@pytest.mark.parametrize("shift", [0.0, -2.0])
+def test_barrier_margins_carry_their_sign(shift):
+    # zero profiles and dyadic data make every margin exact.  lambda* = 1,
+    # c_hat = 1/2, eps = 1/4, phi = 1/8 everywhere:
+    #   upper: mu = 5/4, drift = mu^2 - 1 = 9/16, offset max(-m_R, 0) = 1/8,
+    #          barrier(t) = 7/8 + 9/16 (t - 1)
+    #   lower: gamma = 3/4, drift = gamma^2 - 1 = -7/16, offset tilde_m = 1/8,
+    #          barrier(t) = 3/8 - 7/16 (t - 1)
+    # v sits between them at t_ref = 1, above the upper one at t = 2 by 1/16,
+    # and every snapshot moves by `shift`: a shift down by 2 passes the upper
+    # check and fails the lower one
+    problem = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
+    box = make_grid("box", 1.0, 0.25, 1)
+    torus = make_grid("torus", 2.0, 0.25, 1)
+    common = dict(residual_norm=0.0, converged=True)
+    upper_run = ErgodicApprox(
+        "state_constraint", 1.0, 1.25, GridFunction(box, np.zeros(box.shape)), **common
+    )
+    lower_run = ErgodicApprox(
+        "periodic", 2.0, 0.75, GridFunction(torus, np.zeros(torus.shape)),
+        cutoff=2.25, **common,
+    )
+    phi_grid = make_grid("box", 2.0, 0.25, 1)
+    phi = GridFunction(phi_grid, np.full(phi_grid.shape, 0.125))
+
+    run_grid = make_grid("box", 4.0, 0.25, 1)
+    x = run_grid.axis_coords()
+    v1 = np.full(run_grid.shape, 0.625)
+    v1[x == 0.0] = 0.5  # the lowest node, nearest the lower barrier
+    v1[x == 0.5] = 0.6875  # the highest node, nearest the upper barrier
+    fields = {1.0: v1, 2.0: np.full(run_grid.shape, 1.5), 3.0: np.ones(run_grid.shape)}
+    report = LargeTimeReport(
+        lambda_star_used=1.0,
+        c_hat=0.5,
+        window_half_width=1.0,
+        history=[LargeTimeHistoryRow(t, 0.0, 0.0, 0.5, 0.0) for t in fields],
+        converged=True,
+        final_sup_error=0.0,
+        final_flatness=0.0,
+        snapshots=[(t, GridFunction(run_grid, v + shift)) for t, v in fields.items()],
+    )
+    args = (phi, 1.0, 0.5, 0.25, report, problem)
+    up = barrier_check_upper(upper_run, *args)
+    lo = barrier_check_lower(lower_run, *args)
+    bound = 10.0 * 0.25 * 0.25 + 2e-3
+
+    assert (up.side, up.t_ref) == ("upper", 1.0)
+    assert (up.mu_or_gamma, up.offset_min) == (1.25, -0.125)
+    # the residual 9/16 - (x^2 - 1) on the interior of [-1, 1]: its minimum
+    assert (up.residual_extreme, up.residual_ok) == (1.0, True)
+    assert up.residual_bound == pytest.approx(-bound)
+    assert up.initial_domination_margin == 0.1875 - shift
+    assert up.later_domination_margin == -0.0625 - shift
+    assert up.initial_ok
+    assert up.later_ok == up.passed == (shift < 0)
+
+    assert (lo.side, lo.t_ref) == ("lower", 1.0)
+    assert (lo.mu_or_gamma, lo.offset_min) == (0.75, 0.125)
+    # the residual -7/16 - (min(x^2, 9/4) - 1) on the torus: its maximum
+    assert (lo.residual_extreme, lo.residual_ok) == (0.5625, True)
+    assert lo.residual_bound == pytest.approx(bound)
+    assert lo.initial_domination_margin == 0.125 + shift
+    assert lo.later_domination_margin == 1.5 + shift
+    assert lo.initial_ok == lo.later_ok == lo.passed == (shift == 0)

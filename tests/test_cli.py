@@ -125,6 +125,30 @@ def test_ergodic_reruns_byte_identical(quick_cfg, tmp_path):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
+def test_all_reruns_byte_identical(quick_cfg, tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["all", "--config", quick_cfg, "--out", str(out)]) == 0
+    compared = set()
+    for cmd in ("validate", "ergodic", "longtime", "oracle"):
+        names = sorted(os.listdir(outs[0] / cmd))
+        assert names == sorted(os.listdir(outs[1] / cmd))
+        for name in names:
+            if name == "timings.txt":
+                continue  # wall clock: excluded from the determinism guarantee
+            a, b = outs[0] / cmd / name, outs[1] / cmd / name
+            assert filecmp.cmp(a, b, shallow=False), f"{cmd}/{name}"
+            compared.add(f"{cmd}/{name}")
+    expected = {
+        "validate/validate.csv",
+        "ergodic/runs.csv",
+        "longtime/barriers.csv",
+        "longtime/history.csv",
+        "oracle/oracle.csv",
+    }
+    assert expected <= compared
+
+
 def test_parallel_jobs_match_sequential(quick_cfg, tmp_path):
     seq, par = tmp_path / "seq", tmp_path / "par"
     assert main(["ergodic", "--config", quick_cfg, "--out", str(seq)]) == 0

@@ -11,7 +11,9 @@ from ergodic_hj import (
     GridFunction,
     InitialSpec,
     ProblemSpec,
+    SchemeConfig,
     SourceSpec,
+    cfl_timestep,
     evolve,
     gradient_monitor,
     holder_quotient,
@@ -150,6 +152,19 @@ def test_trace_samples_strictly_increasing():
     st = evolve(p, g, 2.0)
     times = st.trace.times()
     assert np.all(np.diff(times) > 0)
+
+
+def test_trace_dt_is_the_cfl_step_in_force():
+    # zero data and zero source keep L at grad_cap, so the CFL step never
+    # changes; it does not divide the sample interval, so the steps that land
+    # on sample times are shorter than it and must not be recorded
+    p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
+    g = make_grid("box", 2.0, 0.1, 1)
+    dt_cfl = cfl_timestep(g, SchemeConfig(), p.m)
+    assert 0.25 / dt_cfl != round(0.25 / dt_cfl)
+    st = evolve(p, g, 2.0, source=GridFunction(g, np.zeros(g.shape)))
+    assert len(st.trace.samples) == 8
+    assert [s.dt for s in st.trace.samples] == [dt_cfl] * 8
 
 
 def test_trace_csv_export(tmp_path):
