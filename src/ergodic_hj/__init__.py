@@ -41,7 +41,6 @@ from .grid import (
     sample,
     sup_norm_diff,
 )
-from .kernels import NUMBA_ENABLED, backend_name
 from .parabolic import (
     DiagnosticsTrace,
     EvolutionState,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import asymptotics, ergodic, reference
 from .config import get_path, load_config, resolved_lines
-from .errors import BlowUpError, BracketInconsistencyError, ConfigError
+from .errors import AlignmentError, BlowUpError, BracketInconsistencyError, ConfigError
 from .grid import (
     Grid,
     GridFunction,
@@ -628,7 +628,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg, args.out, args.json)
         return cmd_all(cfg, args.out, args.jobs, args.json, args.allow_partial)
-    except ConfigError as exc:
+    except (ConfigError, AlignmentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:

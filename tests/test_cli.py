@@ -279,6 +279,23 @@ def test_longtime_box_narrower_than_ladder_is_config_error(tmp_path, capsys):
     assert "box_half_width 6" in err and "half-width 8" in err
 
 
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("longtime", "window_half_width: 1.0", "window_half_width: 1.03"),
+        ("oracle", "slope_tolerance: 0.02", "slope_tolerance: 0.02\n  window_half_width: 1.01"),
+    ],
+    ids=["longtime", "oracle"],
+)
+def test_misaligned_window_is_config_error(tmp_path, capsys, command, old, new):
+    cfg = _quick_variant(tmp_path, (old, new))
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "not node-aligned" in err
+    assert err.count("\n") == 1
+
+
 def test_bracket_inconsistency_exits_one_with_one_line(tmp_path, capsys):
     cfg = _quick_variant(
         tmp_path,

@@ -1,76 +1,11 @@
-"""Step kernels: numba and numpy agree, the numpy path matches a scalar
-reference, and the calls the benchmark counts stay as they are."""
+"""Step kernels: the stencil matches a scalar reference, the gradient
+measure matches its box and torus definitions, and the names and calls the
+benchmark reads stay as they are."""
 
 import numpy as np
 import pytest
 
 from ergodic_hj import Grid, GridFunction, discrete_laplacian, kernels, numerical_hamiltonian
-
-
-def _rand_fields(shape, seed):
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=shape)
-    f = rng.uniform(0.0, 3.0, size=shape)
-    return u, f
-
-
-PAIRS_1D = [
-    (kernels.step_box_1d_numba, kernels.step_box_1d_numpy),
-    (kernels.step_torus_1d_numba, kernels.step_torus_1d_numpy),
-]
-PAIRS_2D = [
-    (kernels.step_box_2d_numba, kernels.step_box_2d_numpy),
-    (kernels.step_torus_2d_numba, kernels.step_torus_2d_numpy),
-]
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-@pytest.mark.parametrize("m", [2.0, 1.5, 1.2])
-@pytest.mark.parametrize("pair", PAIRS_1D, ids=["box", "torus"])
-def test_backends_agree_1d(pair, m):
-    jit_fn, np_fn = pair
-    u, f = _rand_fields(41, seed=3)
-    a = np.empty_like(u)
-    b = np.empty_like(u)
-    jit_fn(u, f, 1e-4, 10.0, 100.0, m, a)
-    np_fn(u, f, 1e-4, 10.0, 100.0, m, b)
-    if m == 2.0:
-        assert np.array_equal(a, b)  # same expression tree, no pow
-    else:
-        np.testing.assert_allclose(a, b, rtol=5e-15, atol=0.0)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-@pytest.mark.parametrize("m", [2.0, 1.5])
-@pytest.mark.parametrize("pair", PAIRS_2D, ids=["box", "torus"])
-def test_backends_agree_2d(pair, m):
-    jit_fn, np_fn = pair
-    u, f = _rand_fields((23, 23), seed=5)
-    a = np.empty_like(u)
-    b = np.empty_like(u)
-    jit_fn(u, f, 1e-5, 20.0, 400.0, m, a)
-    np_fn(u, f, 1e-5, 20.0, 400.0, m, b)
-    if m == 2.0:
-        assert np.array_equal(a, b)
-    else:
-        np.testing.assert_allclose(a, b, rtol=5e-15, atol=0.0)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_heat_backends_agree():
-    w, pot = _rand_fields(31, seed=11)
-    w = np.abs(w)
-    a = np.empty_like(w)
-    b = np.empty_like(w)
-    kernels.heat_step_dirichlet_1d_numba(w, pot, 1e-4, 100.0, a)
-    kernels.heat_step_dirichlet_1d_numpy(w, pot, 1e-4, 100.0, b)
-    assert np.array_equal(a, b)
-    w2, pot2 = _rand_fields((17, 17), seed=13)
-    a2 = np.empty_like(w2)
-    b2 = np.empty_like(w2)
-    kernels.heat_step_dirichlet_2d_numba(w2, pot2, 1e-5, 400.0, a2)
-    kernels.heat_step_dirichlet_2d_numpy(w2, pot2, 1e-5, 400.0, b2)
-    assert np.array_equal(a2, b2)
 
 
 def test_numpy_step_hand_checked_interior_node():
@@ -80,7 +15,7 @@ def test_numpy_step_hand_checked_interior_node():
     u = np.array([0.0, 1.0, 3.0])
     f = np.ones(3)
     out = np.empty(3)
-    kernels.step_box_1d_numpy(u, f, 0.01, 2.0, 4.0, 2.0, out)
+    kernels.step(u, f, 0.01, 2.0, 4.0, 2.0, out, periodic=False)
     assert out[1] == pytest.approx(1.01, rel=1e-15)
 
 
@@ -89,14 +24,14 @@ def test_state_constraint_boundary_uses_inward_stencil():
     u = np.array([5.0, 1.0, 0.0, 0.0, 0.0])
     f = np.zeros(5)
     out = np.empty(5)
-    kernels.step_box_1d_numpy(u, f, 0.01, 2.0, 4.0, 2.0, out)
+    kernels.step(u, f, 0.01, 2.0, 4.0, 2.0, out, periodic=False)
     ham0 = max(-((1.0 - 5.0) * 2.0), 0.0) ** 2  # inward slope 8, squared
     assert out[0] == pytest.approx(5.0 + 0.01 * (0.0 - ham0), rel=1e-14)
     # monotone in the inward neighbor: raising u[1] cannot lower the update
     u2 = u.copy()
     u2[1] = 2.0
     out2 = np.empty(5)
-    kernels.step_box_1d_numpy(u2, f, 0.01, 2.0, 4.0, 2.0, out2)
+    kernels.step(u2, f, 0.01, 2.0, 4.0, 2.0, out2, periodic=False)
     assert out2[0] >= out[0]
 
 
@@ -142,39 +77,19 @@ def test_torus_wraparound():
     u[0] = 1.0
     f = np.zeros(8)
     out = np.empty(8)
-    kernels.step_torus_1d_numpy(u, f, 0.001, 1.0, 1.0, 2.0, out)
+    kernels.step(u, f, 0.001, 1.0, 1.0, 2.0, out, periodic=True)
     assert out[1] == pytest.approx(out[-1])  # wrap makes both neighbors equal
-
-
-def test_dispatch_matches_env(monkeypatch):
-    assert kernels.backend_name() in ("numba", "numpy")
-    assert kernels.NUMBA_ENABLED == (kernels.backend_name() == "numba")
-
-
-def test_env_flag_forces_numpy_backend():
-    # the switch acts at import time, so probe in a fresh interpreter
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, ERGODIC_HJ_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from ergodic_hj import kernels; print(kernels.backend_name())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
 
 
 def test_vhj_step_rejects_3d():
     with pytest.raises(ValueError):
         kernels.vhj_step(np.zeros((3, 3, 3)), np.zeros((3, 3, 3)), 0.1, 0.5, 2.0, False)
+    with pytest.raises(ValueError):
+        kernels.heat_step(np.zeros((3, 3, 3)), np.zeros((3, 3, 3)), 0.1, 0.5)
 
 
 # ---------------------------------------------------------------------------
-# the numpy path against a node-by-node scalar reference
+# the kernels against a node-by-node scalar reference
 # ---------------------------------------------------------------------------
 
 
@@ -278,6 +193,38 @@ def test_axis_terms_pair_survives_later_calls():
     assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
 
 
+def _box_gradient(u, inv_h):
+    """The box measure as once written per dimension, over np.diff."""
+    if u.ndim == 1:
+        d = np.abs(np.diff(u)) * inv_h
+        return float(d.max()) if d.size else 0.0
+    d0 = np.abs(np.diff(u, axis=0)) * inv_h
+    d1 = np.abs(np.diff(u, axis=1)) * inv_h
+    return max(float(d0.max()) if d0.size else 0.0, float(d1.max()) if d1.size else 0.0)
+
+
+def _torus_gradient(u, inv_h):
+    """The torus measure as once written per dimension, over np.roll."""
+    if u.ndim == 1:
+        return float((np.abs(u - np.roll(u, 1)) * inv_h).max())
+    d0 = np.abs(u - np.roll(u, 1, axis=0)) * inv_h
+    d1 = np.abs(u - np.roll(u, 1, axis=1)) * inv_h
+    return max(float(d0.max()), float(d1.max()))
+
+
+@pytest.mark.parametrize("shape", [(9,), (7, 6), (1,), (1, 5)], ids=["1d", "2d", "1node", "1row"])
+def test_max_onesided_gradient_matches_box_and_torus_definitions(shape):
+    rng = np.random.default_rng(37)
+    u = rng.normal(scale=3.0, size=shape)
+    # |a - b| = |b - a| exactly and max ignores order: equal to the bit
+    assert kernels.max_onesided_gradient(u, 4.0, False) == _box_gradient(u, 4.0)
+    assert kernels.max_onesided_gradient(u, 4.0, True) == _torus_gradient(u, 4.0)
+    u.flat[-1] = np.nan  # a blow-up must not read as a small gradient
+    assert np.isnan(kernels.max_onesided_gradient(u, 4.0, True))
+    if u.size > 1:  # a lone box node has no pair
+        assert np.isnan(kernels.max_onesided_gradient(u, 4.0, False))
+
+
 # ---------------------------------------------------------------------------
 # what perfbench/ relies on: kernel names and signatures, and one
 # vhj_step / heat_step call per step with dt as positional argument 2
@@ -306,6 +253,11 @@ def test_heat_kernel_keeps_the_benchmark_signature():
     # fn(w, pot, dt, inv_h2, out), writing into out
     kernels.heat_step_dirichlet_1d(w, pot, 1e-3, 16.0, out)
     assert out.tobytes() == kernels.heat_step(w, pot, 1e-3, 0.25).tobytes()
+
+
+def test_benchmark_reads_one_numpy_backend():
+    assert kernels.backend_name() == "numpy"
+    assert kernels.NUMBA_AVAILABLE is False
 
 
 def _recording(monkeypatch, name):

@@ -167,6 +167,17 @@ def test_trace_dt_is_the_cfl_step_in_force():
     assert [s.dt for s in st.trace.samples] == [dt_cfl] * 8
 
 
+def test_trace_window_gradient_does_not_wrap_on_a_torus():
+    # the window is a sub-box of the torus: its two ends are not neighbours
+    p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
+    g = make_grid("torus", 4.0, 0.1, 1)
+    u0 = sample(lambda x: 0.2 * np.sin(2.0 * np.pi * x / 8.0), g)
+    st = evolve(p, g, 0.25, initial=u0, window_half_width=1.0)
+    window = restrict(st.u, 1.0).values
+    expected = float(np.max(np.abs(np.diff(window)))) / g.spacing
+    assert st.trace.samples[-1].max_grad == pytest.approx(expected, rel=1e-12)
+
+
 def test_trace_csv_export(tmp_path):
     p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
     g = make_grid("box", 4.0, 0.1, 1)
@@ -245,3 +256,13 @@ def test_gradient_monitor_regularity_ratio():
     f = sample(oracle.source, g)
     out = gradient_monitor(phi, 2.0, source=f, m=m)
     assert out["ratio"] <= 1.0
+
+
+def test_gradient_monitor_source_slope_does_not_wrap_on_a_torus():
+    # f = 2 + x has slope 1; across the ends of the enclosing window [-2, 2]
+    # it jumps by 4, which a wrapped difference would read as slope 40
+    g = make_grid("torus", 4.0, 0.1, 1)
+    u = GridFunction(g, np.zeros(g.shape))
+    f = sample(lambda x: 2.0 + x, g)
+    out = gradient_monitor(u, 1.0, source=f, m=2.0)
+    assert out["bound_rhs"] == pytest.approx(1.0 + 4.0 ** 0.5 + 1.0, rel=1e-9)
