@@ -79,20 +79,16 @@ def _stationary_terms(phi, lam, f, m, h, periodic):
 
     Also returns q2 and, per axis, the upwind pair (a, b) and the diffusion
     weight, which the Jacobian needs.  The per-axis terms come from the
-    explicit step's own helper, ``kernels.axis_terms``: tori wrap around; on
-    a box a wall node keeps, along the wall-normal axis, no diffusion and
-    only the inward upwind pair.
+    explicit step's own helper, ``kernels.axis_terms``, summed in the step's
+    order: tori wrap around; on a box a wall node keeps, along the
+    wall-normal axis, no diffusion and only the inward upwind pair.
     """
     inv_h = 1.0 / h
     lap = np.zeros_like(phi)
     q2 = np.zeros_like(phi)
     axes = []
     for axis in range(phi.ndim):
-        # a^2 + b^2 per axis, then into q2: this order keeps the 2D profiles
-        # reproducible to the bit; the step's order moves them by an ulp
-        q2_axis = np.zeros_like(phi)
-        a, b = axis_terms(phi, axis, periodic, inv_h, inv_h * inv_h, lap, q2_axis)
-        q2 += q2_axis
+        a, b = axis_terms(phi, axis, periodic, inv_h, inv_h * inv_h, lap, q2)
         w = np.ones_like(phi)
         if not periodic:
             w[(slice(None),) * axis + ([0, -1],)] = 0.0
@@ -102,10 +98,13 @@ def _stationary_terms(phi, lam, f, m, h, periodic):
 
 
 def _jacobian(q2, axes, m, h, origin):
-    """Generalized Jacobian in (phi, lambda), plus the row pinning phi(origin).
+    """Pinned spatial Jacobian K = J + e_o e_o^T of the residual in phi.
 
+    J is the generalized Jacobian of lam - lap_h phi + H_h(phi) in phi:
     d max(x, 0) = [x > 0] and dH = (m/2) q2^(m/2 - 1) d(q2), taken as 0
-    where q2 = 0.  The last column is lambda's, the last row the pin.
+    where q2 = 0.  Its rows sum to zero (J 1 = 0); the 1 added to the
+    origin's diagonal removes that null direction.  K keeps the stencil's
+    structurally symmetric 3-/5-point pattern.
     """
     n = q2.size
     inv_h = 1.0 / h
@@ -127,12 +126,31 @@ def _jacobian(q2, axes, m, h, origin):
             rows.append(idx.ravel())
             cols.append(np.roll(idx, shift, axis).ravel())
             vals.append(coef.ravel())
-    rows += [idx.ravel(), idx.ravel(), [n]]
-    cols += [idx.ravel(), np.full(n, n), [origin]]
-    vals += [diag.ravel(), np.ones(n), [1.0]]
+    diag.flat[origin] += 1.0
+    rows.append(idx.ravel())
+    cols.append(idx.ravel())
+    vals.append(diag.ravel())
     r, k, v = (np.concatenate(x) for x in (rows, cols, vals))
     keep = v != 0.0  # drops box wraparound entries and inactive upwind terms
-    return sp.csc_matrix((v[keep], (r[keep], k[keep])), shape=(n + 1, n + 1))
+    return sp.csc_matrix((v[keep], (r[keep], k[keep])), shape=(n, n))
+
+
+def _newton_step(phi, res, q2, axes, m, h, origin):
+    """Newton step (dphi, dlam) for J dphi + dlam 1 = -res, phi_o + dphi_o = 0.
+
+    Factors the pinned Jacobian K = J + e_o e_o^T once, ordered on A^T A + A.
+    Since J 1 = 0, dphi = y - phi_o 1 with y_o = 0 solves K y = -res - dlam 1,
+    so one two-column solve Z = K^-1 [-res, 1] gives dlam = Z_o0 / Z_o1 and
+    y = Z_0 - dlam Z_1.  The factor is freed after its solve.  A zero row of
+    J makes K singular (a 1D wall or a 2D corner whose inward upwind pair is
+    inactive): the factorization then raises RuntimeError.
+    """
+    rhs = np.column_stack((-res.ravel(), np.ones(res.size)))
+    z = spla.splu(
+        _jacobian(q2, axes, m, h, origin), permc_spec="MMD_AT_PLUS_A"
+    ).solve(rhs)
+    dlam = float(z[origin, 0] / z[origin, 1])
+    return (z[:, 0] - dlam * z[:, 1] - phi.flat[origin]).reshape(phi.shape), dlam
 
 
 def _solve_stationary(f: GridFunction, m: float):
@@ -141,7 +159,9 @@ def _solve_stationary(f: GridFunction, m: float):
     Solves lambda - lap_h phi + H_h(phi) = f at every node with phi(origin)
     = 0, starting from phi = |x|, which is neither source dependent nor
     degenerate at the walls.  A full step that does not lower the sup
-    residual is halved.  Returns phi, lambda, converged and the stop record.
+    residual is halved.  Returns phi, lambda, converged and the stop record;
+    a singular Jacobian (see ``_newton_step``) stops the solve with reason
+    "singular Jacobian".
     """
     grid = f.grid
     h = grid.spacing
@@ -159,14 +179,11 @@ def _solve_stationary(f: GridFunction, m: float):
         if len(history) > NEWTON_MAX_ITER:
             reason = "iteration cap reached"
             break
-        res, q2, axes = terms
-        rhs = -np.append(res.ravel(), phi.flat[origin])
         try:
-            step = spla.splu(_jacobian(q2, axes, m, h, origin)).solve(rhs)
+            dphi, dlam = _newton_step(phi, *terms, m, h, origin)
         except RuntimeError:
             reason = "singular Jacobian"
             break
-        dphi, dlam = step[:-1].reshape(grid.shape), float(step[-1])
         alpha = 1.0
         for _ in range(NEWTON_HALVINGS + 1):
             phi_t, lam_t = phi + alpha * dphi, lam + alpha * dlam

@@ -21,7 +21,14 @@ import numpy as np
 
 from . import kernels
 from .errors import BlowUpError, ConfigError
-from .grid import Grid, GridFunction, grids_equal, restrict, window_slices
+from .grid import (
+    Grid,
+    GridFunction,
+    grids_equal,
+    restrict,
+    torus_values_on_window,
+    window_slices,
+)
 from .problem import ProblemSpec
 from .scheme import SchemeConfig, cfl_timestep
 
@@ -258,19 +265,21 @@ def gradient_monitor(u: GridFunction, inner_half_width: float, source=None, m=No
     g = u.grid
     if inner_half_width >= g.half_width - g.spacing / 2:
         raise ConfigError("inner window must sit strictly inside the grid")
-    vals = u.values if g.periodic else restrict(u, inner_half_width).values
-    inv_h = 1.0 / g.spacing
-    max_grad = kernels.max_onesided_gradient(vals, inv_h, g.periodic)
+    # both windows are sub-boxes, even on a torus, where the enclosing one
+    # may wrap past the cell
+    window = torus_values_on_window if g.periodic else restrict
+    h = g.spacing
+    inv_h = 1.0 / h
+    vals = window(u, inner_half_width).values
+    max_grad = kernels.max_onesided_gradient(vals, inv_h, False)
     result = {"max_grad": max_grad}
     if source is not None and m is not None:
-        enclosing = inner_half_width + 1.0
-        h = g.spacing
-        k = int(round(enclosing / h))
-        enclosing = min(k * h, g.half_width)
-        fw = restrict(source, enclosing)
+        enclosing = int(round((inner_half_width + 1.0) / h)) * h
+        if not g.periodic:
+            enclosing = min(enclosing, g.half_width)
+        fw = window(source, enclosing)
         sup_f = float(np.max(np.abs(fw.values)))
-        # |Df| via one-sided differences of the sampled source on the
-        # window, a sub-box even on a torus
+        # |Df| via one-sided differences of the sampled source on the window
         sup_df = kernels.max_onesided_gradient(fw.values, inv_h, False)
         bound = 1.0 + sup_f ** (1.0 / m) + sup_df ** (1.0 / (2.0 * m - 1.0))
         result["bound_rhs"] = bound

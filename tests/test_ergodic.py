@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ergodic_hj import (
     BracketInconsistencyError,
@@ -217,9 +218,9 @@ def test_nonconverged_run_reports_history(oscillator, monkeypatch):
 
 
 def test_singular_jacobian_reports_reason(oscillator, monkeypatch):
-    # rank one, like a Jacobian whose wall rows all reduce to the lambda column
+    # rank one: singular, as the pinned Jacobian is when a row of J is zero
     def rank_one(q2, *args):
-        return sp.csc_matrix(np.ones((q2.size + 1, q2.size + 1)))
+        return sp.csc_matrix(np.ones((q2.size, q2.size)))
 
     monkeypatch.setattr(ergodic, "_jacobian", rank_one)
     run = solve_state_constraint(oscillator, 4.0, 0.1)
@@ -264,3 +265,59 @@ def test_fast_growing_source_converges():
     assert run.converged, run.stop_info
     assert run.constant == pytest.approx(1.117316366, abs=1e-8)
     _assert_explicit_run_stationary(p, run, sample(p.source, run.profile.grid))
+
+
+def _newton_state(kind, dim, m):
+    # a state with both members of the upwind pairs active somewhere and a
+    # nonzero value at the origin, so the pin moves the step
+    g = make_grid(kind, 2.0, 0.25 if dim == 1 else 0.5, dim)
+    x = g.meshed_coords()
+    phi = np.sqrt(sum(c * c for c in x)) + 0.3 * np.cos(2.0 * x[0]) + 0.2
+    f = sample(SourceSpec("power", alpha=m), g).values
+    terms = ergodic._stationary_terms(phi, 0.4, f, m, g.spacing, g.periodic)
+    origin = int(np.ravel_multi_index(g.origin_index, g.shape))
+    return g, phi, terms, origin
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["box", "torus"])
+def test_jacobian_is_n_by_n_with_the_stencil_sparsity(kind, dim):
+    g, phi, (res, q2, axes), origin = _newton_state(kind, dim, 2.0)
+    k = ergodic._jacobian(q2, axes, 2.0, g.spacing, origin)
+    n = phi.size
+    assert k.shape == (n, n)
+    assert k.nnz <= (2 * dim + 1) * n
+    # J 1 = 0 off the pin
+    row_sums = np.asarray(k.sum(axis=1)).ravel()
+    row_sums[origin] -= 1.0
+    assert np.max(np.abs(row_sums)) <= 1e-12 * abs(k).max()
+
+
+@pytest.mark.parametrize("m", [2.0, 1.5])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["box", "torus"])
+def test_pinned_newton_step_matches_bordered_solve(kind, dim, m):
+    # the bordered system [[J, 1], [e_o^T, 0]] (dphi, dlam) = (-res, -phi_o)
+    g, phi, (res, q2, axes), origin = _newton_state(kind, dim, m)
+    n = phi.size
+    k = ergodic._jacobian(q2, axes, m, g.spacing, origin)
+    j = k - sp.csc_matrix(([1.0], ([origin], [origin])), shape=(n, n))
+    pin = sp.csc_matrix(([1.0], ([0], [origin])), shape=(1, n))
+    bordered = sp.bmat([[j, np.ones((n, 1))], [pin, None]], format="csc")
+    rhs = -np.append(res.ravel(), phi.flat[origin])
+    ref = spla.spsolve(bordered, rhs)
+    dphi, dlam = ergodic._newton_step(phi, res, q2, axes, m, g.spacing, origin)
+    assert dphi.shape == phi.shape
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(dphi.ravel() - ref[:-1])) <= 1e-12 * scale
+    assert abs(dlam - ref[-1]) <= 1e-12 * scale
+
+
+def test_2d_benchmark_constants_unchanged():
+    # the one box rung and one torus rung of the 2D benchmark config
+    p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=2)
+    box = solve_state_constraint(p, 4.0, 0.16)
+    torus = solve_periodic(p, 16.0, 0.16)
+    assert box.converged and torus.converged
+    assert box.constant == pytest.approx(2.18022637396381, rel=1e-12)
+    assert torus.constant == pytest.approx(2.1801070590401044, rel=1e-12)

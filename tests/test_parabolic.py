@@ -266,3 +266,30 @@ def test_gradient_monitor_source_slope_does_not_wrap_on_a_torus():
     f = sample(lambda x: 2.0 + x, g)
     out = gradient_monitor(u, 1.0, source=f, m=2.0)
     assert out["bound_rhs"] == pytest.approx(1.0 + 4.0 ** 0.5 + 1.0, rel=1e-9)
+
+
+def test_gradient_monitor_measures_the_inner_window_on_a_torus():
+    # u = 5(|x| - 3)+ is flat on the inner window [-1, 1]; only the rest
+    # of the torus is steep
+    for kind in ("box", "torus"):
+        g = make_grid(kind, 4.0, 0.1, 1)
+        u = sample(lambda x: 5.0 * np.maximum(np.abs(x) - 3.0, 0.0), g)
+        assert gradient_monitor(u, 1.0)["max_grad"] == 0.0
+
+
+def test_gradient_monitor_enclosing_window_may_wrap_past_the_cell():
+    # inner 3.0 on the S = 4 torus: the enclosing window [-4, 4] reaches the
+    # cell's edge and takes the periodic extension, which matches a box
+    # wide enough to hold it
+    def f(x):
+        return 2.0 + np.cos(0.25 * math.pi * x)
+
+    def u(x):
+        return np.sin(0.25 * math.pi * x)
+
+    torus = make_grid("torus", 4.0, 0.1, 1)
+    box = make_grid("box", 5.0, 0.1, 1)
+    got = gradient_monitor(sample(u, torus), 3.0, source=sample(f, torus), m=2.0)
+    want = gradient_monitor(sample(u, box), 3.0, source=sample(f, box), m=2.0)
+    for key in ("max_grad", "bound_rhs", "ratio"):
+        assert got[key] == pytest.approx(want[key], rel=1e-9)
