@@ -61,17 +61,6 @@ class LargeTimeReport:
     verdicts: dict = field(default_factory=dict)
     trace: DiagnosticsTrace | None = None  # the evolution's per-sample records
 
-    def export_csv(self, path, header_lines=()):
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("t,sup_error,slope_error,c_of_t,flatness\n")
-            for r in self.history:
-                fh.write(
-                    f"{r.t!r},{r.sup_error!r},{r.slope_error!r},"
-                    f"{r.c_of_t!r},{r.flatness!r}\n"
-                )
-
 
 def estimate_c_hat(v_t: GridFunction, phi: GridFunction, window_half_width=None):
     """Window mean of v - phi, with the max-min flatness certificate.

@@ -1,9 +1,10 @@
 """Command-line entry points and bit-stable report emission.
 
-Commands: validate, ergodic, longtime, oracle, all.  Numeric CSV cells are
-written with repr so re-running a config sequentially reproduces the files
-byte for byte; wall-clock timings go to a separate timings.txt precisely so
-the scientific outputs stay deterministic.
+Commands: validate, ergodic, longtime, oracle, all.  Every report table is
+written by ``grid.write_table``, numeric cells with repr, so re-running a
+config sequentially reproduces the files byte for byte; wall-clock timings
+go to a separate timings.txt precisely so the scientific outputs stay
+deterministic.
 
 Exit codes: 0 pass, 1 scientific verdict failure, 2 usage or config error,
 3 numerical blow-up.
@@ -12,12 +13,14 @@ Exit codes: 0 pass, 1 scientific verdict failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import zip_longest
 
 import numpy as np
 
@@ -30,11 +33,13 @@ from .grid import (
     export_csv,
     import_table,
     make_grid,
+    read_table,
     restrict,
     sample,
     sup_norm_diff,
+    write_table,
 )
-from .parabolic import evolve
+from .parabolic import TraceSample, evolve
 from .problem import (
     InitialSpec,
     ProblemSpec,
@@ -115,9 +120,11 @@ def _blow_up_cap(cfg: dict) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _write_text(path, lines):
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_summary(out_dir, header, title, lines):
+    """summary.txt: the resolved config, then the command's report lines."""
+    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
+        fh.write("\n".join(["== config =="] + header + [f"== {title} =="] + lines))
+        fh.write("\n")
 
 
 def _summary_json(path, payload):
@@ -140,60 +147,33 @@ def _run_tag(kind, half_width, cutoff):
     return f"periodic_S{half_width:g}_cut{cutoff:g}"
 
 
-def write_runs_csv(path, runs, header_lines):
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(
-            "kind,half_width,cutoff,constant,residual_norm,converged,"
-            "iterations,stop_reason\n"
-        )
-        for r in runs:
-            cut = "" if r.cutoff is None else repr(float(r.cutoff))
-            fh.write(
-                f"{r.kind},{float(r.half_width)!r},{cut},{float(r.constant)!r},"
-                f"{float(r.residual_norm)!r},{int(r.converged)},"
-                f"{int(r.stop_info.get('iterations', 0))},"
-                f"{r.stop_info.get('reason')}\n"
-            )
-
-
 def load_artifacts(art_dir, problem: ProblemSpec):
     """Rebuild ergodic runs from a prior `ergodic` output directory."""
     runs_path = os.path.join(art_dir, "runs.csv")
     if not os.path.exists(runs_path):
         raise ConfigError(f"missing ergodic artifact: expected file {runs_path}")
     runs = []
-    with open(runs_path) as fh:
-        header = None
-        for raw in fh:
-            if raw.startswith("#") or not raw.strip():
-                continue
-            if header is None:
-                header = raw.strip().split(",")
-                continue
-            cells = raw.strip().split(",")
-            row = dict(zip(header, cells))
-            kind = row["kind"]
-            half_width = float(row["half_width"])
-            cutoff = float(row["cutoff"]) if row["cutoff"] else None
-            tag = _run_tag(kind, half_width, cutoff)
-            prof_path = os.path.join(art_dir, f"profile_{tag}.csv")
-            if not os.path.exists(prof_path):
-                raise ConfigError(f"missing profile artifact: expected {prof_path}")
-            profile = _load_profile(prof_path, kind, half_width, problem.dim)
-            runs.append(
-                ergodic.ErgodicApprox(
-                    kind=kind,
-                    half_width=half_width,
-                    constant=float(row["constant"]),
-                    profile=profile,
-                    residual_norm=float(row["residual_norm"]),
-                    converged=bool(int(row["converged"])),
-                    stop_info={"reason": row["stop_reason"]},
-                    cutoff=cutoff,
-                )
+    for row in read_table(runs_path):
+        kind = row["kind"]
+        half_width = float(row["half_width"])
+        cutoff = float(row["cutoff"]) if row["cutoff"] else None
+        tag = _run_tag(kind, half_width, cutoff)
+        prof_path = os.path.join(art_dir, f"profile_{tag}.csv")
+        if not os.path.exists(prof_path):
+            raise ConfigError(f"missing profile artifact: expected {prof_path}")
+        profile = _load_profile(prof_path, kind, half_width, problem.dim)
+        runs.append(
+            ergodic.ErgodicApprox(
+                kind=kind,
+                half_width=half_width,
+                constant=float(row["constant"]),
+                profile=profile,
+                residual_norm=float(row["residual_norm"]),
+                converged=bool(int(row["converged"])),
+                stop_info={"reason": row["stop_reason"]},
+                cutoff=cutoff,
             )
+        )
     if not runs:
         raise ConfigError(f"no runs found in {runs_path}")
     return runs
@@ -230,32 +210,19 @@ def cmd_validate(cfg, out_dir, json_flag=False):
     h2 = h2_certificate(problem.source, problem.m)
     header = resolved_lines(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "validate.csv"), "w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write("radius,envelope,h2_radius,h2_ratio\n")
-        n = max(len(h1["radii"]), len(h2["radii"]))
-        for i in range(n):
-            c1 = (
-                f"{float(h1['radii'][i])!r},{float(h1['envelope'][i])!r}"
-                if i < len(h1["radii"])
-                else ","
-            )
-            if i < len(h2["radii"]):
-                ratio = float(h2["ratios"][i])
-                ratio_cell = "" if math.isnan(ratio) else repr(ratio)
-                c2 = f"{float(h2['radii'][i])!r},{ratio_cell}"
-            else:
-                c2 = ","
-            fh.write(f"{c1},{c2}\n")
-    lines = ["== config =="] + header + [
-        "== hypothesis report ==",
+    # the two sequences differ in length; the shorter one's cells run out empty
+    write_table(
+        os.path.join(out_dir, "validate.csv"),
+        header,
+        ("radius", "envelope", "h2_radius", "h2_ratio"),
+        zip_longest(h1["radii"], h1["envelope"], h2["radii"], h2["ratios"]),
+    )
+    _write_summary(out_dir, header, "hypothesis report", [
         f"coercivity_plausible: {h1['plausible']}",
         f"envelope_monotone: {h1['monotone']}",
         f"gradient_ratio_plausible: {h2['plausible']}",
         f"ratio_points_skipped: {h2['skipped']}",
-    ]
-    _write_text(os.path.join(out_dir, "summary.txt"), lines)
+    ])
     if json_flag:
         _summary_json(
             os.path.join(out_dir, "summary.json"),
@@ -314,7 +281,18 @@ def cmd_ergodic(cfg, out_dir, jobs=1, json_flag=False, allow_partial=False):
     header = resolved_lines(cfg)
     os.makedirs(out_dir, exist_ok=True)
     all_runs = state_runs + periodic_runs
-    write_runs_csv(os.path.join(out_dir, "runs.csv"), all_runs, header)
+    write_table(
+        os.path.join(out_dir, "runs.csv"),
+        header,
+        ("kind", "half_width", "cutoff", "constant", "residual_norm", "converged",
+         "iterations", "stop_reason"),
+        [
+            (r.kind, float(r.half_width), r.cutoff, float(r.constant),
+             float(r.residual_norm), bool(r.converged),
+             int(r.stop_info.get("iterations", 0)), str(r.stop_info.get("reason")))
+            for r in all_runs
+        ],
+    )
     for run in all_runs:
         tag = _run_tag(run.kind, run.half_width, run.cutoff)
         export_csv(
@@ -327,8 +305,7 @@ def cmd_ergodic(cfg, out_dir, jobs=1, json_flag=False, allow_partial=False):
         for tag, dt in timings:
             fh.write(f"{tag} {dt:.3f}\n")
     gap_str = "inf" if math.isinf(est.gap) else repr(est.gap)
-    lines = ["== config =="] + header + [
-        "== ergodic constant estimate ==",
+    lines = [
         f"value: {est.value!r}",
         f"upper_bracket: {est.upper_bracket!r}",
         f"lower_bracket: {est.lower_bracket!r}",
@@ -342,7 +319,7 @@ def cmd_ergodic(cfg, out_dir, jobs=1, json_flag=False, allow_partial=False):
             f"run {_run_tag(r.kind, r.half_width, r.cutoff)}: constant={r.constant!r} "
             f"residual_norm={r.residual_norm!r} converged={r.converged}"
         )
-    _write_text(os.path.join(out_dir, "summary.txt"), lines)
+    _write_summary(out_dir, header, "ergodic constant estimate", lines)
     payload = {
         "config": cfg,
         "value": est.value,
@@ -416,57 +393,50 @@ def cmd_longtime(cfg, out_dir, jobs=1, json_flag=False, artifacts=None,
     )
     header = resolved_lines(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    report.export_csv(os.path.join(out_dir, "history.csv"), header_lines=header)
-    report.trace.export_csv(os.path.join(out_dir, "trace.csv"), header_lines=header)
+    # the row dataclasses' fields are the tables' columns, in order
+    for name, cls, rows in (
+        ("history.csv", asymptotics.LargeTimeHistoryRow, report.history),
+        ("trace.csv", TraceSample, report.trace.samples),
+    ):
+        columns = [f.name for f in dataclasses.fields(cls)]
+        write_table(os.path.join(out_dir, name), header, columns,
+                    map(dataclasses.astuple, rows))
 
     barrier_rows = []
+    verdicts_ok = True
     for eps in (epsilon, 2.0 * epsilon):
-        for run in state_runs:
-            try:
-                v = asymptotics.barrier_check_upper(
-                    run, phi_ref, est.value, report.c_hat, eps, report, problem
-                )
-                barrier_rows.append(v)
-            except ConfigError as exc:
-                barrier_rows.append(("upper", run.half_width, eps, str(exc)))
-        for run in periodic_runs:
-            try:
-                v = asymptotics.barrier_check_lower(
-                    run, phi_ref, est.value, report.c_hat, eps, report, problem
-                )
-                barrier_rows.append(v)
-            except ConfigError as exc:
-                barrier_rows.append(("lower", run.half_width, eps, str(exc)))
-    with open(os.path.join(out_dir, "barriers.csv"), "w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write(
-            "side,epsilon,t_ref,scale,offset_min,residual,residual_bound,"
-            "init_margin,later_margin,passed\n"
-        )
-        for v in barrier_rows:
-            if isinstance(v, tuple):
-                fh.write(f"{v[0]},{v[2]!r},,,,,,,,error: {v[3]}\n")
-                continue
-            fh.write(
-                f"{v.side},{v.epsilon!r},{v.t_ref!r},{v.mu_or_gamma!r},"
-                f"{v.offset_min!r},{v.residual_extreme!r},{v.residual_bound!r},"
-                f"{v.initial_domination_margin!r},{v.later_domination_margin!r},"
-                f"{int(v.passed)}\n"
-            )
-    verdicts_ok = all(
-        (v.passed if not isinstance(v, tuple) else False) for v in barrier_rows
+        for side, check, runs in (
+            ("upper", asymptotics.barrier_check_upper, state_runs),
+            ("lower", asymptotics.barrier_check_lower, periodic_runs),
+        ):
+            for run in runs:
+                try:
+                    v = check(run, phi_ref, est.value, report.c_hat, eps, report, problem)
+                except ConfigError as exc:
+                    barrier_rows.append((side, eps) + (None,) * 7 + (f"error: {exc}",))
+                    verdicts_ok = False
+                    continue
+                barrier_rows.append((
+                    v.side, v.epsilon, v.t_ref, v.mu_or_gamma, v.offset_min,
+                    v.residual_extreme, v.residual_bound, v.initial_domination_margin,
+                    v.later_domination_margin, v.passed,
+                ))
+                verdicts_ok = verdicts_ok and v.passed
+    write_table(
+        os.path.join(out_dir, "barriers.csv"),
+        header,
+        ("side", "epsilon", "t_ref", "scale", "offset_min", "residual",
+         "residual_bound", "init_margin", "later_margin", "passed"),
+        barrier_rows,
     )
-    lines = ["== config =="] + header + [
-        "== large-time report ==",
+    _write_summary(out_dir, header, "large-time report", [
         f"lambda_star_used: {report.lambda_star_used!r}",
         f"c_hat: {report.c_hat!r}",
         f"final_sup_error: {report.final_sup_error!r}",
         f"final_flatness: {report.final_flatness!r}",
         f"converged: {report.converged}",
         f"barriers_all_passed: {verdicts_ok}",
-    ]
-    _write_text(os.path.join(out_dir, "summary.txt"), lines)
+    ])
     if json_flag:
         _summary_json(
             os.path.join(out_dir, "summary.json"),
@@ -539,19 +509,17 @@ def cmd_oracle(cfg, out_dir, json_flag=False):
 
     header = resolved_lines(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "oracle.csv"), "w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write("check,solver_value,oracle_value,difference,tolerance,passed\n")
-        for name, sv, ov, diff, tl in rows:
-            fh.write(f"{name},{sv!r},{ov!r},{diff!r},{tl!r},{int(diff <= tl)}\n")
+    write_table(
+        os.path.join(out_dir, "oracle.csv"),
+        header,
+        ("check", "solver_value", "oracle_value", "difference", "tolerance", "passed"),
+        [row + (row[3] <= row[4],) for row in rows],
+    )
     ok = all(diff <= tl for _, _, _, diff, tl in rows)
-    lines = ["== config =="] + header + [
-        "== oracle comparison ==",
+    _write_summary(out_dir, header, "oracle comparison", [
         f"eigenvalue: {eig!r} (residual {info['residual']!r})",
         f"all_within_tolerance: {ok}",
-    ]
-    _write_text(os.path.join(out_dir, "summary.txt"), lines)
+    ])
     if json_flag:
         _summary_json(
             os.path.join(out_dir, "summary.json"),

@@ -232,25 +232,56 @@ def torus_values_on_window(gf: GridFunction, window_half_width: float) -> GridFu
 # ---------------------------------------------------------------------------
 
 
+def write_table(path, header_lines, columns, rows):
+    """Write one report table: ``# `` header lines, the column line, then rows.
+
+    The one home of the report format.  Strings are written verbatim, with no
+    quoting (so none may hold a comma); floats by repr, with nan and None as
+    empty cells and inf as ``inf``; bools as 1/0; ints in decimal.  Each row
+    is a sequence.  A large float table is fastest passed preformatted, each
+    column as ``map(repr, col.tolist())``: a row of strings is joined as is.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(map(_line, rows))
+
+
+def _line(row):
+    try:
+        return ",".join(row) + "\n"
+    except TypeError:  # not every cell is a string yet
+        return ",".join(map(_cell, row)) + "\n"
+
+
+def _cell(v):
+    if isinstance(v, str):
+        return v
+    if isinstance(v, np.generic):
+        v = v.item()
+    if v is None or v != v:
+        return ""
+    if isinstance(v, bool):
+        return str(int(v))
+    return repr(v)
+
+
+def read_table(path):
+    """Rows of a ``write_table`` file as dicts of column name -> cell text."""
+    with open(path, newline="") as fh:
+        lines = [ln.rstrip("\r\n") for ln in fh if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        return []
+    columns = lines[0].split(",")
+    return [dict(zip(columns, ln.split(","))) for ln in lines[1:]]
+
+
 def export_csv(gf: GridFunction, path, header_lines=()):
     """Write (x[, y], value) rows; values use repr for exact round-trips."""
-    coords = gf.grid.meshed_coords()
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        if gf.grid.dim == 1:
-            fh.write("x,value\n")
-            for x, v in zip(coords[0], gf.values):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
-        else:
-            fh.write("x,y,value\n")
-            X, Y = coords
-            for i in range(gf.values.shape[0]):
-                for j in range(gf.values.shape[1]):
-                    fh.write(
-                        f"{float(X[i, j])!r},{float(Y[i, j])!r},"
-                        f"{float(gf.values[i, j])!r}\n"
-                    )
+    cols = [c.ravel().tolist() for c in gf.grid.meshed_coords()]
+    cols.append(gf.values.ravel().tolist())
+    names = ("x", "value") if gf.grid.dim == 1 else ("x", "y", "value")
+    write_table(path, header_lines, names, zip(*[map(repr, c) for c in cols]))
 
 
 def import_table(path):

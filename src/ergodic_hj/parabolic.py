@@ -57,26 +57,10 @@ class DiagnosticsTrace:
     window_means: list = field(default_factory=list)  # (t, mean over K)
     window_snapshots: list = field(default_factory=list)  # (t, values on K)
 
-    def times(self):
-        return np.array([s.t for s in self.samples])
-
-    def slopes(self):
-        return np.array([s.slope for s in self.samples])
-
     def append(self, sample: TraceSample):
         if self.samples and sample.t <= self.samples[-1].t:
             raise ConfigError("sample times must be strictly increasing")
         self.samples.append(sample)
-
-    def export_csv(self, path, header_lines=()):
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("t,slope,max_grad,holder_q,dt\n")
-            for s in self.samples:
-                slope = "" if math.isnan(s.slope) else repr(s.slope)
-                hq = "" if math.isnan(s.holder_q) else repr(s.holder_q)
-                fh.write(f"{s.t!r},{slope},{s.max_grad!r},{hq},{s.dt!r}\n")
 
 
 @dataclass
@@ -84,6 +68,7 @@ class EvolutionState:
     t: float
     u: GridFunction
     trace: DiagnosticsTrace
+    snapshots: list = field(default_factory=list)  # (t, GridFunction of u)
 
 
 def default_window_half_width(grid: Grid) -> float:
@@ -124,8 +109,8 @@ def evolve(
     """March from t = 0 to time T with adaptive CFL steps, populating the trace.
 
     Each trace sample records the CFL step in force; the steps shortened to
-    land on sample and snapshot times are not recorded.  ``snapshot_times``
-    collects full-domain copies of u.
+    land on sample and snapshot times are not recorded.  At each of
+    ``snapshot_times`` a full-domain copy of u goes to ``snapshots``.
     """
     from .grid import sample as sample_fn
 
@@ -213,10 +198,7 @@ def evolve(
 
     if not np.all(np.isfinite(u)):
         _raise_nonfinite(u, t, grid)
-    final = EvolutionState(t, GridFunction(grid, u), trace)
-    if snapshot_times:
-        final.snapshots = snapshots
-    return final
+    return EvolutionState(t, GridFunction(grid, u), trace, snapshots)
 
 
 def _raise_nonfinite(u, t, grid):

@@ -249,11 +249,7 @@ def _scan_radii(spec: SourceSpec, r_max, step=0.01, must_reach=0.0):
     ``must_reach``) the scan can stop.
     """
     if spec.family == "custom_table":
-        xs = np.asarray(spec.table[0], float)
-        hi = float(np.min(np.abs([xs[0], xs[-1]])))
-        if len(spec.table) == 3:
-            ys = np.asarray(spec.table[1], float)
-            hi = min(hi, float(np.min(np.abs([ys[0], ys[-1]]))))
+        hi = _max_table_radius(spec)
         return np.arange(0.0, hi + step / 2, step), True
     coef = 2.0 - spec.osc_amp if spec.family == "power_oscillating" else 1.0
     # values seen up to r_max are at most (2+amp)*r_max^alpha + shift

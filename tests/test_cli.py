@@ -3,6 +3,7 @@
 import filecmp
 import json
 import os
+import runpy
 
 import numpy as np
 import pytest
@@ -141,12 +142,40 @@ def test_all_reruns_byte_identical(quick_cfg, tmp_path):
             compared.add(f"{cmd}/{name}")
     expected = {
         "validate/validate.csv",
+        "validate/summary.txt",
         "ergodic/runs.csv",
+        "ergodic/profile_state_R3.csv",
+        "ergodic/profile_state_R5.csv",
+        "ergodic/profile_periodic_S3_cut9.csv",
+        "ergodic/summary.json",
+        "ergodic/summary.txt",
         "longtime/barriers.csv",
         "longtime/history.csv",
+        "longtime/trace.csv",
+        "longtime/summary.txt",
         "oracle/oracle.csv",
+        "oracle/summary.txt",
     }
     assert expected <= compared
+
+
+def _perfbench(name):
+    """Globals of a perfbench script, loaded by path (it is not a package)."""
+    return runpy.run_path(
+        os.path.join(os.path.dirname(__file__), "..", "perfbench", f"{name}.py")
+    )
+
+
+def test_benchmark_reader_finds_every_check(quick_cfg, tmp_path):
+    # the benchmark's correctness gate parses the report files from outside
+    checks, workloads = _perfbench("checks"), _perfbench("workloads")
+    out = tmp_path / "all"
+    assert main(["all", "--config", quick_cfg, "--out", str(out)]) == 0
+    found = checks["parse_checks"](str(out), "all")
+    expected = workloads["expected_checks"](parse_config(QUICK), "all")
+    assert len(expected) == len(set(expected)) == 15
+    assert set(found) == set(expected)
+    assert checks["lambda_estimate"](str(out), "all") is not None
 
 
 def test_parallel_jobs_match_sequential(quick_cfg, tmp_path):
@@ -204,6 +233,8 @@ def test_longtime_writes_the_evolution_trace(quick_cfg, tmp_path):
     times = [float(r.split(",")[0]) for r in rows[1:]]
     assert times == pytest.approx([0.25 * k for k in range(1, 33)], abs=1e-9)
     assert all(len(r.split(",")) == 5 for r in rows[1:])
+    # early samples have no slope yet; the cell stays empty, not NaN-ish
+    assert rows[1].split(",")[1] == ""
     assert filecmp.cmp(outs[0] / "trace.csv", outs[1] / "trace.csv", shallow=False)
 
 

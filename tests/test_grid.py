@@ -20,7 +20,12 @@ from ergodic_hj import (
     sample,
     sup_norm_diff,
 )
-from ergodic_hj.grid import torus_values_on_window, window_slices
+from ergodic_hj.grid import (
+    read_table,
+    torus_values_on_window,
+    window_slices,
+    write_table,
+)
 
 
 def test_node_coordinates_reproducible():
@@ -184,6 +189,26 @@ def test_csv_roundtrip_2d(tmp_path):
     export_csv(gf, path)
     xs, ys, vals = import_table(path)
     assert np.array_equal(vals, gf.values)
+
+
+def test_write_table_cell_rules(tmp_path):
+    path = tmp_path / "table.csv"
+    x = 0.1 + 0.2  # repr needs all 17 digits
+    rows = [
+        (x, None, float("nan"), float("inf"), True, 7, "error: a b"),
+        (np.float64(-2.5), 1e-300, 3.0, -float("inf"), False, np.int64(0), ""),
+    ]
+    cols = ("f", "none", "nan", "inf", "flag", "count", "text")
+    write_table(path, ["a: 1", "  b: x"], cols, rows)
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["# a: 1", "#   b: x", ",".join(cols)]
+    first, second = (line.split(",") for line in lines[3:])
+    assert float(first[0]) == x
+    assert first[1:] == ["", "", "inf", "1", "7", "error: a b"]
+    assert second == ["-2.5", "1e-300", "3.0", "-inf", "0", "0", ""]
+    back = read_table(path)
+    assert [r["text"] for r in back] == ["error: a b", ""]
+    assert back[0]["nan"] == "" and float(back[1]["f"]) == -2.5
 
 
 def test_window_slices_respects_bounds():

@@ -150,7 +150,7 @@ def test_trace_samples_strictly_increasing():
     p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
     g = make_grid("box", 4.0, 0.1, 1)
     st = evolve(p, g, 2.0)
-    times = st.trace.times()
+    times = [s.t for s in st.trace.samples]
     assert np.all(np.diff(times) > 0)
 
 
@@ -176,19 +176,6 @@ def test_trace_window_gradient_does_not_wrap_on_a_torus():
     window = restrict(st.u, 1.0).values
     expected = float(np.max(np.abs(np.diff(window)))) / g.spacing
     assert st.trace.samples[-1].max_grad == pytest.approx(expected, rel=1e-12)
-
-
-def test_trace_csv_export(tmp_path):
-    p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
-    g = make_grid("box", 4.0, 0.1, 1)
-    st = evolve(p, g, 2.0)
-    path = tmp_path / "trace.csv"
-    st.trace.export_csv(path, header_lines=["demo"])
-    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0] == "t,slope,max_grad,holder_q,dt"
-    assert len(lines) == 1 + len(st.trace.samples)
-    # early samples have no slope yet; the cell stays empty, not NaN-ish
-    assert lines[1].split(",")[1] == ""
 
 
 def test_blow_up_guard_fires():
