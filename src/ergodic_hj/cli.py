@@ -26,7 +26,13 @@ import numpy as np
 
 from . import asymptotics, ergodic, reference
 from .config import get_path, load_config, resolved_lines
-from .errors import AlignmentError, BlowUpError, BracketInconsistencyError, ConfigError
+from .errors import (
+    AlignmentError,
+    BlowUpError,
+    BracketInconsistencyError,
+    ConfigError,
+    StagnationError,
+)
 from .grid import (
     Grid,
     GridFunction,
@@ -601,6 +607,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except BlowUpError as exc:
         print(f"numerical blow-up: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
+    except StagnationError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except BracketInconsistencyError as exc:
         print(f"bracket inconsistency: {exc}", file=sys.stderr)

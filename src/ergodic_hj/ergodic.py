@@ -35,7 +35,7 @@ from .grid import (
     restrict,
     sample,
 )
-from .kernels import axis_terms
+from .kernels import plan
 from .parabolic import default_window_half_width
 from .problem import ProblemSpec, torus_half_width
 from .scheme import residual_ergodic, residual_scaled_super
@@ -78,21 +78,22 @@ def _stationary_terms(phi, lam, f, m, h, periodic):
     """Residual lam - lap_h phi + H_h(phi) - f of the explicit scheme.
 
     Also returns q2 and, per axis, the upwind pair (a, b) and the diffusion
-    weight, which the Jacobian needs.  The per-axis terms come from the
-    explicit step's own helper, ``kernels.axis_terms``, summed in the step's
-    order: tori wrap around; on a box a wall node keeps, along the
-    wall-normal axis, no diffusion and only the inward upwind pair.
+    weight, which the Jacobian needs; these are copied out of the explicit
+    step's own stencil plan, ``kernels.plan``.  Tori wrap around; on a box a
+    wall node keeps, along the wall-normal axis, no diffusion and only the
+    inward upwind pair.
     """
     inv_h = 1.0 / h
-    lap = np.zeros_like(phi)
-    q2 = np.zeros_like(phi)
+    stencil = plan(phi.shape, periodic)
+    stencil.load(phi)
+    lap = stencil.laplacian(inv_h * inv_h)
+    q2 = stencil.gradsq(inv_h).copy()
     axes = []
-    for axis in range(phi.ndim):
-        a, b = axis_terms(phi, axis, periodic, inv_h, inv_h * inv_h, lap, q2)
+    for axis, (a, b) in enumerate(stencil.pairs):
         w = np.ones_like(phi)
         if not periodic:
             w[(slice(None),) * axis + ([0, -1],)] = 0.0
-        axes.append((a, b, w))
+        axes.append((a.copy(), b.copy(), w))
     ham = q2 if m == 2.0 else q2 ** (0.5 * m)
     return lam - lap + ham - f, q2, axes
 

@@ -1,16 +1,21 @@
 """Hot inner-loop kernels: explicit updates for u_t - lap(u) + |Du|^m = f.
 
-One dimension-generic helper, ``axis_terms``, writes (axis 0) or adds
-(later axes) one axis's second difference and upwind pair into caller
-buffers.  The explicit step (boxes and tori, 1D and 2D), the
-zero-Dirichlet heat step, the Newton residual in ``ergodic`` and the
-stencil fields in ``scheme`` all go through it.  On the grids this
-package steps, a step costs per numpy call, not per node, so the helper
-computes each axis's one-sided differences once and reuses scratch
-buffers kept per array shape from call to call instead of allocating
-them.  Nothing it returns is scratch.  The scratch is shared by every
-caller in the process, so the kernels are not thread-safe (the parallel
-ladder uses processes).
+One stencil plan per ``(shape, periodic)`` holds the arithmetic.  The
+explicit step (boxes and tori, 1D and 2D), the zero-Dirichlet heat step,
+the Newton residual in ``ergodic`` and the stencil fields in ``scheme`` all
+run through it.  On the grids this package steps, a step costs per numpy
+call, not per node, so a plan does its Python-side set-up once: at
+construction it allocates its buffers (a copy of the input, or on a torus
+one ghost-padded copy per axis; lap, q2, the step's result, and per axis
+the one-sided differences and the upwind pairs) and binds every view of
+them.  A call copies its input in, writes its scalars (1/h, 1/h^2, dt,
+m/2) into 0-d cells, which numpy takes as operands at less cost than
+Python floats, and evaluates.  The step and heat kernels write into the
+caller's ``out``; the lap, q2 and pairs a plan hands out are its own
+buffers, overwritten by the next call on that shape, so a caller that
+keeps them copies them and none writes into them.  The plans are shared
+by every caller in the process, so the kernels are not thread-safe (the
+parallel ladder uses processes).
 
 Every node evaluates the same expression tree: ((u+ - 2 u) + u-) * inv_h2
 per axis, a = max((u - u-) * inv_h, 0), b = max(-((u+ - u) * inv_h), 0),
@@ -35,139 +40,173 @@ from functools import partial
 
 import numpy as np
 
-
-#: scratch buffers, reused from call to call: ``(shape, axis, periodic)``
-#: -> ``_AxisScratch``, and ``shape`` -> one node-shaped array.  Cleared
-#: when it grows past ``_SCRATCH_MAX`` entries, so a process that steps many
-#: grid sizes keeps only recent ones.
-_SCRATCH = {}
-_SCRATCH_MAX = 32
+#: ``(shape, periodic)`` -> ``Plan``.  Cleared when it grows past
+#: ``_PLANS_MAX`` entries, so a process that steps many grid sizes keeps
+#: only recent ones.
+_PLANS = {}
+_PLANS_MAX = 32
 
 
-def _keep(key, value):
-    if len(_SCRATCH) >= _SCRATCH_MAX:
-        _SCRATCH.clear()
-    _SCRATCH[key] = value
-    return value
+def plan(shape, periodic):
+    """The shared ``Plan`` for arrays of ``shape`` on a box or a torus."""
+    key = (shape, periodic)
+    p = _PLANS.get(key)
+    if p is None:
+        if len(_PLANS) >= _PLANS_MAX:
+            _PLANS.clear()
+        p = _PLANS[key] = Plan(shape, periodic)
+    return p
 
 
-def _node_scratch(shape):
-    buf = _SCRATCH.get(shape)
-    return _keep(shape, np.empty(shape)) if buf is None else buf
+class Plan:
+    """Buffers, views and scalar cells of the stencil for one array shape.
 
+    Per axis, ``diff[0]`` holds the one-sided differences d along the axis,
+    one per cell between neighbours plus one at each end: entry i is D- of
+    node i and entry i + 1 its D+.  ``diff[1]`` holds -d.  On a box the end
+    entries stay zero, which closes the walls (a = 0 on the low wall, b = 0
+    on the high one); on a torus they hold the wrapped difference.
+    ``pair`` gets max(diff, 0), and ``diff`` then the squares.
 
-class _AxisScratch:
-    """Index tuples and buffers for one axis of one array shape.
-
-    ``diff[0]`` holds the one-sided differences d along the axis, one per
-    cell between neighbours plus one at each end: entry i is D- of node i
-    and entry i + 1 its D+.  ``diff[1]`` holds -d.  On a box the end entries
-    stay zero, which closes the walls (a = 0 on the low wall, b = 0 on the
-    high one); on a torus they hold the wrapped difference.  After a call
-    ``diff`` holds the squares of the upwind pairs.
+    The lap of a 1D box keeps its zero walls from allocation; on a 2D box
+    a later axis adds onto the axis-0 walls, so those are zeroed on every
+    call.
     """
 
-    def __init__(self, shape, axis, periodic):
-        def at(s):  # index tuple: ``s`` along this axis, all of the others
-            return (slice(None),) * axis + (s,)
+    def __init__(self, shape, periodic):
+        self.lap = np.zeros(shape)
+        self.q2 = np.empty(shape)
+        self.res = np.empty(shape)
+        # 0-d operand cells: the per-call scalars, then two constants
+        self.inv_h, self.inv_h2, self.dt, self.half_m = (np.zeros(()) for _ in range(4))
+        self.neg2, self.zero = np.array(-2.0), np.array(0.0)
+        #: per axis, the upwind pair (a, b) of the last ``gradsq``
+        self.pairs = []
+        #: index tuples of a box's walls, one per axis
+        self.rings = []
+        loads, ghosts, lap_views, grad_views = [], [], [], []
+        if not periodic:
+            x = np.empty(shape)
+            loads.append(x)
+        for axis, n in enumerate(shape):
 
-        def resized(k):  # ``shape`` with k nodes along this axis
-            return shape[:axis] + (k,) + shape[axis + 1 :]
+            def at(s, axis=axis):  # index tuple: ``s`` along this axis, all of the others
+                return (slice(None),) * axis + (s,)
 
-        n = shape[axis]
-        self.mid, self.plus = at(slice(1, -1)), at(slice(2, None))
-        self.minus = at(slice(None, -2))
-        self.up, self.down = at(slice(1, None)), at(slice(None, -1))
-        self.a, self.b = (0,) + self.down, (1,) + self.up
-        self.diff = np.zeros((2,) + resized(n + 1))
-        self.a2, self.b2 = self.diff[self.a], self.diff[self.b]
-        if periodic:  # one wrapped ghost layer per side: every node is interior
-            self.padded = np.empty(resized(n + 2))
-            self.first, self.last = at(slice(None, 1)), at(slice(-1, None))
-            self.inner = at(slice(None))
-            cells = self.inner
-        else:
-            self.inner = cells = self.mid
-            self.walls = at(slice(None, None, max(n - 1, 1)))  # first and last node
-        self.d, self.neg_d = self.diff[(0,) + cells], self.diff[(1,) + cells]
-        # the second difference of a later axis, before it is added
-        self.lap = np.empty(resized(n if periodic else max(n - 2, 0))) if axis else None
+            def resized(k, axis=axis):  # ``shape`` with k nodes along this axis
+                return shape[:axis] + (k,) + shape[axis + 1 :]
 
+            walls = None
+            if periodic:  # one wrapped ghost layer per side: every node is interior
+                x = np.empty(resized(n + 2))
+                loads.append(x[at(slice(1, -1))])
+                ghosts.append((x[at(slice(None, 1))], x[at(slice(-2, -1))]))
+                ghosts.append((x[at(slice(-1, None))], x[at(slice(1, 2))]))
+                inner = at(slice(None))
+            else:
+                inner = at(slice(1, -1))
+                self.rings.append(at(slice(None, None, max(n - 1, 1))))
+                if axis == 0 and len(shape) > 1:
+                    walls = self.lap[self.rings[0]]
+            if axis:  # a later axis's second difference, before it is added
+                acc = np.empty(resized(n if periodic else max(n - 2, 0)))
+                into = self.lap[inner]
+            else:
+                acc, into = self.lap[inner], None
+            lap_views.append((
+                x[at(slice(1, -1))], x[at(slice(2, None))], x[at(slice(None, -2))],
+                acc, into, walls,
+            ))
+            up, down = at(slice(1, None)), at(slice(None, -1))
+            diff = np.zeros((2,) + resized(n + 1))
+            pair = np.empty_like(diff)
+            self.pairs.append((pair[(0,) + down], pair[(1,) + up]))
+            grad_views.append((
+                x[up], x[down], diff[(0,) + inner], diff[(1,) + inner],
+                diff, pair, diff[(0,) + down], diff[(1,) + up], axis == 0,
+            ))
+        self.loads, self.ghosts = tuple(loads), tuple(ghosts)
+        self.lap_views, self.grad_views = tuple(lap_views), tuple(grad_views)
 
-def axis_terms(u, axis, periodic, inv_h, inv_h2, lap=None, q2=None):
-    """One axis of the stencil into buffers shaped like ``u``.
+    def load(self, u):
+        """Copy ``u`` into the input buffers; the next evaluations read it."""
+        for x in self.loads:
+            x[...] = u
+        for ghost, real in self.ghosts:
+            ghost[...] = real
 
-    ``lap`` gets the second difference and ``q2`` gets a^2 + b^2 of the
-    upwind pair a = max(D-, 0), b = max(-D+, 0).  Axis 0 writes both
-    buffers; every later axis adds to them.  Calling the axes in order on
-    the same buffers sums them in the order of the module docstring's
-    expression tree.  Tori wrap around.  On a box this axis's walls are
-    closed: the wall nodes get no diffusion and only the inward member of
-    the pair (a = 0 on the low wall, b = 0 on the high one).
+    def laplacian(self, inv_h2):
+        """lap of the loaded input: zero walls on a box, wrapped on a torus."""
+        cell, neg2 = self.inv_h2, self.neg2
+        cell[()] = inv_h2
+        for mid, plus, minus, acc, into, walls in self.lap_views:
+            # in-place operators: they cost less per call than ufunc(out=)
+            np.multiply(mid, neg2, out=acc)
+            acc += plus  # (u+ - 2u) to the bit: -2u is exact, + commutes
+            acc += minus
+            acc *= cell
+            if into is not None:
+                into += acc
+            elif walls is not None:
+                walls.fill(0.0)
+        return self.lap
 
-    Returns the pair (a, b) as arrays shaped like ``u`` when ``q2`` is
-    given, else None; the pair is freshly allocated and may be kept.
-    ``inv_h2`` is read only with ``lap``, ``inv_h`` only with ``q2``.
-    """
-    key = (u.shape, axis, periodic)
-    s = _SCRATCH.get(key) or _keep(key, _AxisScratch(*key))
-    v = u
-    if periodic:
-        v = np.concatenate((u[s.last], u, u[s.first]), axis, out=s.padded)
-    # in-place operators below: they cost less per call than ufunc(out=)
-    if lap is not None:
-        acc = s.lap if axis else lap[s.inner]
-        np.multiply(v[s.mid], -2.0, out=acc)
-        acc += v[s.plus]  # (u+ - 2u) to the bit: -2u is exact, + commutes
-        acc += v[s.minus]
-        acc *= inv_h2
-        if axis:
-            inner = lap[s.inner]
-            inner += acc
-        elif not periodic:
-            lap[s.walls] = 0.0
-    if q2 is None:
-        return None
-    d = s.d
-    np.subtract(v[s.up], v[s.down], out=d)
-    d *= inv_h
-    np.negative(d, out=s.neg_d)
-    pair = np.maximum(s.diff, 0.0)
-    np.multiply(pair, pair, out=s.diff)
-    if axis:
-        q2 += s.a2
-        q2 += s.b2
-    else:
-        np.add(s.a2, s.b2, out=q2)
-    return pair[s.a], pair[s.b]
+    def gradsq(self, inv_h):
+        """q2 of the loaded input; ``pairs`` then holds each axis's (a, b)."""
+        cell, zero, q2 = self.inv_h, self.zero, self.q2
+        cell[()] = inv_h
+        for up, down, d, neg_d, diff, pair, a2, b2, first in self.grad_views:
+            np.subtract(up, down, out=d)
+            d *= cell
+            np.negative(d, out=neg_d)
+            np.maximum(diff, zero, out=pair)
+            np.multiply(pair, pair, out=diff)
+            if first:
+                np.add(a2, b2, out=q2)
+            else:
+                q2 += a2
+                q2 += b2
+        return q2
+
+    def step(self, u, f, dt, inv_h, inv_h2, m, out):
+        """out = u + dt * ((lap - H) + f) on a box or a torus of any dimension."""
+        self.load(u)
+        lap = self.laplacian(inv_h2)
+        q2 = self.gradsq(inv_h)
+        if m != 2.0:  # at m = 2, H = q2 exactly, without pow
+            self.half_m[()] = 0.5 * m
+            np.power(q2, self.half_m, out=q2)
+        res = self.res
+        np.subtract(lap, q2, out=res)
+        res += f
+        self.dt[()] = dt
+        res *= self.dt
+        np.add(res, u, out=out)
+        return out
+
+    def heat(self, w, pot, dt, inv_h2, out):
+        """w_t = lap(w) - pot*w with w pinned to zero on the boundary ring."""
+        self.load(w)
+        lap = self.laplacian(inv_h2)
+        pot_w, res = self.q2, self.res
+        np.multiply(pot, w, out=pot_w)
+        np.subtract(lap, pot_w, out=res)
+        self.dt[()] = dt
+        res *= self.dt
+        np.add(res, w, out=out)
+        for ring in self.rings:
+            out[ring] = 0.0
+        return out
 
 
 def step(u, f, dt, inv_h, inv_h2, m, out, periodic):
     """out = u + dt * ((lap - H) + f) on a box or a torus of any dimension."""
-    q2 = _node_scratch(u.shape)
-    for axis in range(u.ndim):
-        axis_terms(u, axis, periodic, inv_h, inv_h2, out, q2)
-    if m != 2.0:  # at m = 2, H = q2 exactly, without pow
-        np.power(q2, 0.5 * m, out=q2)
-    out -= q2
-    out += f
-    out *= dt
-    out += u
-    return out
+    return plan(u.shape, periodic).step(u, f, dt, inv_h, inv_h2, m, out)
 
 
 def heat_step_dirichlet(w, pot, dt, inv_h2, out):
     """w_t = lap(w) - pot*w with w pinned to zero on the boundary ring."""
-    for axis in range(w.ndim):
-        axis_terms(w, axis, False, None, inv_h2, lap=out)
-    pot_w = _node_scratch(w.shape)
-    np.multiply(pot, w, out=pot_w)
-    out -= pot_w
-    out *= dt
-    out += w
-    for axis, n in enumerate(w.shape):
-        out[(slice(None),) * axis + (slice(None, None, max(n - 1, 1)),)] = 0.0
-    return out
+    return plan(w.shape, False).heat(w, pot, dt, inv_h2, out)
 
 
 def max_onesided_gradient(u, inv_h, periodic):
@@ -208,7 +247,7 @@ def vhj_step(u, f, dt, h, m, periodic, out=None):
     if out is None:
         out = np.empty_like(u)
     inv_h = 1.0 / h
-    return step(u, f, dt, inv_h, inv_h * inv_h, m, out, periodic)
+    return plan(u.shape, periodic).step(u, f, dt, inv_h, inv_h * inv_h, m, out)
 
 
 def heat_step(w, pot, dt, h, out=None):
@@ -217,4 +256,4 @@ def heat_step(w, pot, dt, h, out=None):
         raise ValueError(f"unsupported dimension: {w.ndim}")
     if out is None:
         out = np.empty_like(w)
-    return heat_step_dirichlet(w, pot, dt, 1.0 / (h * h), out)
+    return plan(w.shape, False).heat(w, pot, dt, 1.0 / (h * h), out)

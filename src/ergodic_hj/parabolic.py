@@ -116,6 +116,8 @@ def evolve(
 
     if T < 0:
         raise ConfigError("T must be nonnegative")
+    if refresh_every < 1:
+        raise ConfigError("refresh_every must be a positive step count")
     config = config or SchemeConfig()
     if source is None:
         source = sample_fn(problem.source, grid)
@@ -147,19 +149,18 @@ def evolve(
         snapshots.append((t, GridFunction(grid, u.copy())))
         next_snap = next(snap_iter, None)
 
-    steps = 0
     eps = 1e-12
     next_sample = sample_interval
+    target = _next_target(next_sample, next_snap, T)
+    countdown = refresh_every  # steps left until the CFL step is refreshed
     while t < T - eps:
-        target = min(next_sample, T)
-        if next_snap is not None:
-            target = min(target, next_snap)
         dt = min(dt_cfl, target - t)
         kernels.vhj_step(u, fvals, dt, h, m, periodic, out)
         u, out = out, u
         t += dt
-        steps += 1
-        if steps % refresh_every == 0:
+        countdown -= 1
+        if not countdown:
+            countdown = refresh_every
             grad = kernels.max_onesided_gradient(u, inv_h, periodic)
             if not math.isfinite(grad) and not np.all(np.isfinite(u)):
                 _raise_nonfinite(u, t, grid)
@@ -173,6 +174,8 @@ def evolve(
             L = max(GRAD_HEADROOM * grad, config.grad_cap)
             live_cfg = SchemeConfig(config.cfl_safety, L)
             dt_cfl = cfl_timestep(grid, live_cfg, m)
+        if t < target - eps:
+            continue
         if next_snap is not None and t >= next_snap - eps:
             if not np.all(np.isfinite(u)):
                 _raise_nonfinite(u, t, grid)
@@ -195,10 +198,17 @@ def evolve(
             trace.window_means.append((t, mean_k))
             trace.window_snapshots.append((t, uk))
             next_sample += sample_interval
+        target = _next_target(next_sample, next_snap, T)
 
     if not np.all(np.isfinite(u)):
         _raise_nonfinite(u, t, grid)
     return EvolutionState(t, GridFunction(grid, u), trace, snapshots)
+
+
+def _next_target(next_sample, next_snap, T):
+    """The time the next step may not pass: a sample, a snapshot or T."""
+    target = min(next_sample, T)
+    return target if next_snap is None else min(target, next_snap)
 
 
 def _raise_nonfinite(u, t, grid):

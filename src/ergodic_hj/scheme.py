@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 from .grid import Grid, GridFunction, grids_equal, interior_grid
-from .kernels import axis_terms
+from .kernels import plan
 
 
 @dataclass
@@ -62,19 +62,17 @@ def laplacian_field(gf: GridFunction) -> np.ndarray:
     """Second differences; interior shape for boxes, full shape for tori."""
     g = gf.grid
     inv_h = 1.0 / g.spacing
-    lap = np.zeros(g.shape)
-    for axis in range(g.dim):
-        axis_terms(gf.values, axis, g.periodic, inv_h, inv_h * inv_h, lap=lap)
-    return _interior(g, lap)
+    stencil = plan(g.shape, g.periodic)
+    stencil.load(gf.values)
+    return _interior(g, stencil.laplacian(inv_h * inv_h)).copy()
 
 
 def upwind_gradsq_field(gf: GridFunction) -> np.ndarray:
     """sum_i max(D-,0)^2 + max(-D+,0)^2 (interior for boxes)."""
     g = gf.grid
-    q2 = np.zeros(g.shape)
-    for axis in range(g.dim):
-        axis_terms(gf.values, axis, g.periodic, 1.0 / g.spacing, None, q2=q2)
-    return _interior(g, q2)
+    stencil = plan(g.shape, g.periodic)
+    stencil.load(gf.values)
+    return _interior(g, stencil.gradsq(1.0 / g.spacing)).copy()
 
 
 def central_gradsq_field(gf: GridFunction) -> np.ndarray:

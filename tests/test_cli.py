@@ -277,6 +277,21 @@ def test_oracle_rejects_subquadratic(tmp_path, capsys):
     assert "m = 2" in capsys.readouterr().err
 
 
+def test_oracle_stagnation_exits_three_with_one_line(tmp_path, capsys):
+    # a steep initial bowl drives exp(-u0) to zero on the interior
+    cfg = tmp_path / "bowl.cfg"
+    cfg.write_text(
+        "problem:\n  m: 2.0\n  dim: 1\n  source:\n    family: power\n    alpha: 2.0\n"
+        "  initial:\n    family: quadratic_bowl\n    amplitude: 20\n"
+        "oracle:\n  box_half_width: 8\n  spacing: 0.1\n  horizon: 1.0\n"
+    )
+    code = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "hit zero" in err
+    assert err.count("\n") == 1
+
+
 def test_reports_embed_resolved_config(quick_cfg, tmp_path):
     out = tmp_path / "erg2"
     main(["ergodic", "--config", quick_cfg, "--out", str(out)])

@@ -179,18 +179,42 @@ def test_numpy_heat_step_matches_scalar_reference(shape):
     assert out.tobytes() == _reference_heat(w, pot, 1e-3, 0.25).tobytes()
 
 
-def test_axis_terms_pair_survives_later_calls():
-    # the Newton Jacobian keeps (a, b) while the next axis and the next
-    # iterate are evaluated; scratch reuse must not overwrite them
+def test_plan_cache_serves_interleaved_shapes_and_scalars():
+    # one plan per (shape, periodic), reused across calls: a stale view, a
+    # stale scalar cell or a 2D wall left unzeroed shows as a wrong bit
+    rng = np.random.default_rng(41)
+
+    def case(shape):
+        return rng.normal(scale=2.0, size=shape), rng.uniform(0.0, 3.0, size=shape)
+
+    calls = [((9,), False, 0.25, 1e-3), ((9,), True, 0.25, 1e-3),
+             ((7, 6), False, 0.25, 1e-3), ((9,), False, 0.5, 4e-3),
+             ("heat", False, 0.2, 2e-3), ((7, 6), True, 0.3, 5e-4),
+             ((7, 6), False, 0.4, 2e-3), ((9,), False, 0.25, 1e-3)]
+    for shape, periodic, h, dt in calls:
+        if shape == "heat":
+            w, pot = case((9,))
+            out = kernels.heat_step(w, pot, dt, h)
+            assert out.tobytes() == _reference_heat(w, pot, dt, h).tobytes()
+            continue
+        u, f = case(shape)
+        out = kernels.vhj_step(u, f, dt, h, 2.0, periodic)
+        assert out.tobytes() == _reference_step(u, f, dt, h, 2.0, periodic).tobytes()
+
+
+def test_jacobian_pairs_survive_later_stencil_calls():
+    # the Newton Jacobian keeps q2 and each axis's (a, b) while the next
+    # iterate is evaluated; the shared plan's buffers must not alias them
+    from ergodic_hj.ergodic import _stationary_terms
+
     rng = np.random.default_rng(23)
     u = rng.normal(size=(7, 6))
-    lap, q2 = np.empty(u.shape), np.empty(u.shape)
-    a, b = kernels.axis_terms(u, 0, False, 4.0, 16.0, lap, q2)
-    kept = a.copy(), b.copy()
-    kernels.axis_terms(u, 1, False, 4.0, 16.0, lap, q2)
-    kernels.axis_terms(-u, 0, False, 4.0, 16.0, lap, q2)
+    _, q2, axes = _stationary_terms(u, 0.0, np.ones(u.shape), 2.0, 0.25, False)
+    kept = [q2.copy()] + [x.copy() for a, b, _ in axes for x in (a, b)]
+    _stationary_terms(-u, 0.0, np.ones(u.shape), 2.0, 0.25, False)
     kernels.vhj_step(-u, u, 0.1, 0.25, 2.0, False)
-    assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
+    kept_now = [q2] + [x for a, b, _ in axes for x in (a, b)]
+    assert all(np.array_equal(x, y) for x, y in zip(kept_now, kept))
 
 
 def _box_gradient(u, inv_h):
@@ -301,3 +325,34 @@ def test_parabolic_oracle_calls_heat_step_once_per_step(monkeypatch):
     assert sum(dt != dt_stable for dt in dts) <= 2
     assert min(abs(t - 0.3) for t in np.cumsum(dts)) < 1e-12
     assert sum(dts) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_evolve_lands_each_step_on_samples_snapshots_and_horizon(monkeypatch):
+    from ergodic_hj import ProblemSpec, SchemeConfig, SourceSpec, evolve, make_grid, sample
+    from ergodic_hj.scheme import cfl_timestep
+
+    p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
+    g = make_grid("box", 2.0, 0.125, 1)
+    original, dts = _recording(monkeypatch, "vhj_step")
+    final = evolve(p, g, 0.9, sample_interval=0.25, snapshot_times=(0.3, 0.6),
+                   refresh_every=7)
+    # the rule written out: dt = min(dt_cfl, target - t), the targets being
+    # the sample times, the snapshot times and T, dt_cfl refreshed every 7 steps
+    u, f = sample(p.initial, g).values, sample(p.source, g).values
+    dt_cfl = cfl_timestep(g, SchemeConfig(), 2.0)  # zero initial data: L = grad_cap
+    t, expected, reached = 0.0, [], []
+    for target in (0.25, 0.3, 0.5, 0.6, 0.75, 0.9):
+        while t < target - 1e-12:
+            dt = min(dt_cfl, target - t)
+            u = original(u, f, dt, g.spacing, 2.0, False)
+            t += dt
+            expected.append(dt)
+            if len(expected) % 7 == 0:
+                grad = kernels.max_onesided_gradient(u, 1.0 / g.spacing, False)
+                dt_cfl = cfl_timestep(g, SchemeConfig(grad_cap=max(1.5 * grad, 1.0)), 2.0)
+        reached.append(t)
+    assert dts == expected
+    assert [s.t for s in final.trace.samples] == [reached[i] for i in (0, 2, 4)]
+    assert [ts for ts, _ in final.snapshots] == [reached[1], reached[3]]
+    assert final.t == reached[-1]
+    assert final.u.values.tobytes() == u.tobytes()
