@@ -78,22 +78,23 @@ def _stationary_terms(phi, lam, f, m, h, periodic):
     """Residual lam - lap_h phi + H_h(phi) - f of the explicit scheme.
 
     Also returns q2 and, per axis, the upwind pair (a, b) and the diffusion
-    weight, which the Jacobian needs; these are copied out of the explicit
-    step's own stencil plan, ``kernels.plan``.  Tori wrap around; on a box a
-    wall node keeps, along the wall-normal axis, no diffusion and only the
-    inward upwind pair.
+    weight, which the Jacobian needs; these come from the explicit step's
+    own stencil plan, ``kernels.plan``, in fresh arrays.  Tori wrap around;
+    on a box a wall node keeps, along the wall-normal axis, no diffusion and
+    only the inward upwind pair.
     """
     inv_h = 1.0 / h
     stencil = plan(phi.shape, periodic)
     stencil.load(phi)
     lap = stencil.laplacian(inv_h * inv_h)
-    q2 = stencil.gradsq(inv_h).copy()
+    pairs = []
+    q2 = stencil.gradsq(inv_h, np.empty_like(phi), pairs)
     axes = []
-    for axis, (a, b) in enumerate(stencil.pairs):
+    for axis, (a, b) in enumerate(pairs):
         w = np.ones_like(phi)
         if not periodic:
             w[(slice(None),) * axis + ([0, -1],)] = 0.0
-        axes.append((a.copy(), b.copy(), w))
+        axes.append((a, b, w))
     ham = q2 if m == 2.0 else q2 ** (0.5 * m)
     return lam - lap + ham - f, q2, axes
 

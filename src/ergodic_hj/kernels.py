@@ -6,15 +6,15 @@ the Newton residual in ``ergodic`` and the stencil fields in ``scheme`` all
 run through it.  On the grids this package steps, a step costs per numpy
 call, not per node, so a plan does its Python-side set-up once: at
 construction it allocates its buffers (a copy of the input, or on a torus
-one ghost-padded copy per axis; lap, q2, the step's result, and per axis
-the one-sided differences and the upwind pairs) and binds every view of
-them.  A call copies its input in, writes its scalars (1/h, 1/h^2, dt,
-m/2) into 0-d cells, which numpy takes as operands at less cost than
-Python floats, and evaluates.  The step and heat kernels write into the
-caller's ``out``; the lap, q2 and pairs a plan hands out are its own
-buffers, overwritten by the next call on that shape, so a caller that
-keeps them copies them and none writes into them.  The plans are shared
-by every caller in the process, so the kernels are not thread-safe (the
+one ghost-padded copy per axis; lap; and per axis the one-sided
+differences) and binds every view of them.  A call copies its input in,
+writes its scalars (1/h, 1/h^2, dt, m/2) into 0-d cells, which numpy
+takes as operands at less cost than Python floats, and evaluates.  q2 and
+the step and heat results go to the caller's arrays, and upwind pairs,
+when asked for, to fresh ones.  The lap a plan hands out is its own
+buffer, overwritten by the next call on that shape, so a caller that
+keeps it copies it and none writes into it.  The plans are shared by
+every caller in the process, so the kernels are not thread-safe (the
 parallel ladder uses processes).
 
 Every node evaluates the same expression tree: ((u+ - 2 u) + u-) * inv_h2
@@ -66,22 +66,19 @@ class Plan:
     node i and entry i + 1 its D+.  ``diff[1]`` holds -d.  On a box the end
     entries stay zero, which closes the walls (a = 0 on the low wall, b = 0
     on the high one); on a torus they hold the wrapped difference.
-    ``pair`` gets max(diff, 0), and ``diff`` then the squares.
+    ``diff`` then gets the upwind pairs max(diff, 0), and then their squares.
 
     The lap of a 1D box keeps its zero walls from allocation; on a 2D box
     a later axis adds onto the axis-0 walls, so those are zeroed on every
-    call.
+    call.  q2 and the step's result go to the caller's arrays, so a plan
+    keeps no node-sized buffer beyond the input copy, lap and ``diff``.
     """
 
     def __init__(self, shape, periodic):
         self.lap = np.zeros(shape)
-        self.q2 = np.empty(shape)
-        self.res = np.empty(shape)
         # 0-d operand cells: the per-call scalars, then two constants
         self.inv_h, self.inv_h2, self.dt, self.half_m = (np.zeros(()) for _ in range(4))
         self.neg2, self.zero = np.array(-2.0), np.array(0.0)
-        #: per axis, the upwind pair (a, b) of the last ``gradsq``
-        self.pairs = []
         #: index tuples of a box's walls, one per axis
         self.rings = []
         loads, ghosts, lap_views, grad_views = [], [], [], []
@@ -108,8 +105,11 @@ class Plan:
                 self.rings.append(at(slice(None, None, max(n - 1, 1))))
                 if axis == 0 and len(shape) > 1:
                     walls = self.lap[self.rings[0]]
-            if axis:  # a later axis's second difference, before it is added
-                acc = np.empty(resized(n if periodic else max(n - 2, 0)))
+            diff = np.zeros((2,) + resized(n + 1))
+            if axis:
+                # a later axis's second difference, before it is added, sits
+                # in entries of -d that gradsq overwrites before it reads them
+                acc = diff[(1,) + at(slice(1, n + 1) if periodic else slice(1, -2))]
                 into = self.lap[inner]
             else:
                 acc, into = self.lap[inner], None
@@ -118,12 +118,10 @@ class Plan:
                 acc, into, walls,
             ))
             up, down = at(slice(1, None)), at(slice(None, -1))
-            diff = np.zeros((2,) + resized(n + 1))
-            pair = np.empty_like(diff)
-            self.pairs.append((pair[(0,) + down], pair[(1,) + up]))
+            a, b = (0,) + down, (1,) + up
             grad_views.append((
                 x[up], x[down], diff[(0,) + inner], diff[(1,) + inner],
-                diff, pair, diff[(0,) + down], diff[(1,) + up], axis == 0,
+                diff, a, b, diff[a], diff[b], axis == 0,
             ))
         self.loads, self.ghosts = tuple(loads), tuple(ghosts)
         self.lap_views, self.grad_views = tuple(lap_views), tuple(grad_views)
@@ -151,16 +149,24 @@ class Plan:
                 walls.fill(0.0)
         return self.lap
 
-    def gradsq(self, inv_h):
-        """q2 of the loaded input; ``pairs`` then holds each axis's (a, b)."""
-        cell, zero, q2 = self.inv_h, self.zero, self.q2
+    def gradsq(self, inv_h, q2, pairs=None):
+        """q2 of the loaded input, written into ``q2`` (shaped like it).
+
+        With a list ``pairs``, each axis's upwind pair (a, b) is appended to
+        it in fresh arrays, which the caller may keep."""
+        cell, zero = self.inv_h, self.zero
         cell[()] = inv_h
-        for up, down, d, neg_d, diff, pair, a2, b2, first in self.grad_views:
+        for up, down, d, neg_d, diff, a, b, a2, b2, first in self.grad_views:
             np.subtract(up, down, out=d)
             d *= cell
             np.negative(d, out=neg_d)
-            np.maximum(diff, zero, out=pair)
-            np.multiply(pair, pair, out=diff)
+            if pairs is None:
+                np.maximum(diff, zero, out=diff)
+                np.multiply(diff, diff, out=diff)
+            else:
+                pair = np.maximum(diff, zero)
+                pairs.append((pair[a], pair[b]))
+                np.multiply(pair, pair, out=diff)
             if first:
                 np.add(a2, b2, out=q2)
             else:
@@ -172,28 +178,27 @@ class Plan:
         """out = u + dt * ((lap - H) + f) on a box or a torus of any dimension."""
         self.load(u)
         lap = self.laplacian(inv_h2)
-        q2 = self.gradsq(inv_h)
+        ham = self.gradsq(inv_h, out)
         if m != 2.0:  # at m = 2, H = q2 exactly, without pow
             self.half_m[()] = 0.5 * m
-            np.power(q2, self.half_m, out=q2)
-        res = self.res
-        np.subtract(lap, q2, out=res)
-        res += f
+            np.power(ham, self.half_m, out=ham)
+        np.subtract(lap, ham, out=out)
+        out += f
         self.dt[()] = dt
-        res *= self.dt
-        np.add(res, u, out=out)
+        out *= self.dt
+        out += self.loads[0]  # the loaded u: ``out`` may be ``u`` itself
         return out
 
     def heat(self, w, pot, dt, inv_h2, out):
         """w_t = lap(w) - pot*w with w pinned to zero on the boundary ring."""
         self.load(w)
         lap = self.laplacian(inv_h2)
-        pot_w, res = self.q2, self.res
-        np.multiply(pot, w, out=pot_w)
-        np.subtract(lap, pot_w, out=res)
+        w = self.loads[0]  # ``out`` may be ``w`` itself
+        np.multiply(pot, w, out=out)
+        np.subtract(lap, out, out=out)
         self.dt[()] = dt
-        res *= self.dt
-        np.add(res, w, out=out)
+        out *= self.dt
+        out += w
         for ring in self.rings:
             out[ring] = 0.0
         return out

@@ -72,7 +72,7 @@ def upwind_gradsq_field(gf: GridFunction) -> np.ndarray:
     g = gf.grid
     stencil = plan(g.shape, g.periodic)
     stencil.load(gf.values)
-    return _interior(g, stencil.gradsq(1.0 / g.spacing)).copy()
+    return _interior(g, stencil.gradsq(1.0 / g.spacing, np.empty(g.shape)))
 
 
 def central_gradsq_field(gf: GridFunction) -> np.ndarray:

@@ -84,6 +84,14 @@ def test_step_bc_grid_consistency():
         evolve(p, g, 1.0, initial=GridFunction(torus, np.zeros(torus.shape)))
 
 
+@pytest.mark.parametrize("refresh_every", [0, -3])
+def test_evolve_rejects_a_nonpositive_refresh_count(refresh_every):
+    p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
+    g = make_grid("box", 2.0, 0.25, 1)
+    with pytest.raises(ConfigError, match="refresh_every"):
+        evolve(p, g, 0.1, refresh_every=refresh_every)
+
+
 def test_evolve_zero_horizon_is_identity():
     p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
     g = make_grid("box", 4.0, 0.25, 1)
