@@ -35,7 +35,7 @@ from .grid import (
     restrict,
     sample,
 )
-from .kernels import plan
+from .kernels import Plan
 from .parabolic import default_window_half_width
 from .problem import ProblemSpec, torus_half_width
 from .scheme import residual_ergodic, residual_scaled_super
@@ -79,12 +79,12 @@ def _stationary_terms(phi, lam, f, m, h, periodic):
 
     Also returns q2 and, per axis, the upwind pair (a, b) and the diffusion
     weight, which the Jacobian needs; these come from the explicit step's
-    own stencil plan, ``kernels.plan``, in fresh arrays.  Tori wrap around;
+    own stencil arithmetic, ``kernels.Plan``, in fresh arrays.  Tori wrap around;
     on a box a wall node keeps, along the wall-normal axis, no diffusion and
     only the inward upwind pair.
     """
     inv_h = 1.0 / h
-    stencil = plan(phi.shape, periodic)
+    stencil = Plan(phi.shape, periodic)
     stencil.load(phi)
     lap = stencil.laplacian(inv_h * inv_h)
     pairs = []

@@ -1,21 +1,25 @@
 """Hot inner-loop kernels: explicit updates for u_t - lap(u) + |Du|^m = f.
 
-One stencil plan per ``(shape, periodic)`` holds the arithmetic.  The
-explicit step (boxes and tori, 1D and 2D), the zero-Dirichlet heat step,
-the Newton residual in ``ergodic`` and the stencil fields in ``scheme`` all
-run through it.  On the grids this package steps, a step costs per numpy
-call, not per node, so a plan does its Python-side set-up once: at
-construction it allocates its buffers (a copy of the input, or on a torus
-one ghost-padded copy per axis; lap; and per axis the one-sided
-differences) and binds every view of them.  A call copies its input in,
-writes its scalars (1/h, 1/h^2, dt, m/2) into 0-d cells, which numpy
-takes as operands at less cost than Python floats, and evaluates.  q2 and
-the step and heat results go to the caller's arrays, and upwind pairs,
-when asked for, to fresh ones.  The lap a plan hands out is its own
-buffer, overwritten by the next call on that shape, so a caller that
-keeps it copies it and none writes into it.  The plans are shared by
-every caller in the process, so the kernels are not thread-safe (the
-parallel ladder uses processes).
+A stencil plan (``Plan``) for one array shape, box or torus, holds the
+arithmetic.  The explicit step (boxes and tori, 1D and 2D), the
+zero-Dirichlet heat step, the Newton residual in ``ergodic`` and the
+stencil fields in ``scheme`` all run through it.  On the grids this
+package steps, a step costs per numpy call, not per node, so a plan does
+its Python-side set-up once: at construction it allocates its buffers (a
+copy of the input, or on a torus one ghost-padded copy per axis; lap; and
+per axis the one-sided differences) and binds every view of them.  A call
+copies its input in, writes its scalars (1/h, 1/h^2, dt, m/2) into 0-d
+cells, which numpy takes as operands at less cost than Python floats, and
+evaluates.  q2 and the step and heat results go to the caller's arrays,
+and upwind pairs, when asked for, to fresh ones.  The lap a plan hands out
+is its own buffer, overwritten by the next call on it, so a caller that
+keeps it copies it and none writes into it.
+
+The step and heat kernels run thousands of times per shape and share one
+cached plan per ``(shape, periodic)`` (``plan``), so the kernels are not
+thread-safe (the parallel ladder uses processes).  The Newton residual and
+the scheme fields run a few times per grid; they build a plan per call,
+which costs less than a step and keeps no buffer alive after it.
 
 Every node evaluates the same expression tree: ((u+ - 2 u) + u-) * inv_h2
 per axis, a = max((u - u-) * inv_h, 0), b = max(-((u+ - u) * inv_h), 0),
@@ -244,8 +248,8 @@ def backend_name() -> str:
 def vhj_step(u, f, dt, h, m, periodic, out=None):
     """One explicit update of u_t - lap(u) + |Du|^m = f on raw arrays.
 
-    ``out`` is allocated when not supplied.  Callers are responsible for the
-    CFL restriction.
+    ``out`` is allocated when not supplied and may be ``u`` itself.  Callers
+    are responsible for the CFL restriction.
     """
     if u.ndim not in (1, 2):
         raise ValueError(f"unsupported dimension: {u.ndim}")
@@ -256,7 +260,9 @@ def vhj_step(u, f, dt, h, m, periodic, out=None):
 
 
 def heat_step(w, pot, dt, h, out=None):
-    """One explicit update of w_t = lap(w) - pot*w with zero-Dirichlet closure."""
+    """One explicit update of w_t = lap(w) - pot*w with zero-Dirichlet closure.
+
+    ``out`` is allocated when not supplied and may be ``w`` itself."""
     if w.ndim not in (1, 2):
         raise ValueError(f"unsupported dimension: {w.ndim}")
     if out is None:

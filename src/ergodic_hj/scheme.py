@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 from .grid import Grid, GridFunction, grids_equal, interior_grid
-from .kernels import plan
+from .kernels import Plan
 
 
 @dataclass
@@ -62,15 +62,15 @@ def laplacian_field(gf: GridFunction) -> np.ndarray:
     """Second differences; interior shape for boxes, full shape for tori."""
     g = gf.grid
     inv_h = 1.0 / g.spacing
-    stencil = plan(g.shape, g.periodic)
+    stencil = Plan(g.shape, g.periodic)
     stencil.load(gf.values)
-    return _interior(g, stencil.laplacian(inv_h * inv_h)).copy()
+    return _interior(g, stencil.laplacian(inv_h * inv_h))
 
 
 def upwind_gradsq_field(gf: GridFunction) -> np.ndarray:
     """sum_i max(D-,0)^2 + max(-D+,0)^2 (interior for boxes)."""
     g = gf.grid
-    stencil = plan(g.shape, g.periodic)
+    stencil = Plan(g.shape, g.periodic)
     stencil.load(gf.values)
     return _interior(g, stencil.gradsq(1.0 / g.spacing, np.empty(g.shape)))
 

@@ -194,12 +194,15 @@ def test_plan_cache_serves_interleaved_shapes_and_scalars():
     for shape, periodic, h, dt in calls:
         if shape == "heat":
             w, pot = case((9,))
-            out = kernels.heat_step(w, pot, dt, h)
-            assert out.tobytes() == _reference_heat(w, pot, dt, h).tobytes()
+            expected = _reference_heat(w, pot, dt, h).tobytes()
+            assert kernels.heat_step(w, pot, dt, h).tobytes() == expected
+            assert kernels.heat_step(w, pot, dt, h, out=w).tobytes() == expected
             continue
         u, f = case(shape)
-        out = kernels.vhj_step(u, f, dt, h, 2.0, periodic)
-        assert out.tobytes() == _reference_step(u, f, dt, h, 2.0, periodic).tobytes()
+        expected = _reference_step(u, f, dt, h, 2.0, periodic).tobytes()
+        assert kernels.vhj_step(u, f, dt, h, 2.0, periodic).tobytes() == expected
+        # in place: the plan reads its own copy of u
+        assert kernels.vhj_step(u, f, dt, h, 2.0, periodic, out=u).tobytes() == expected
 
 
 def test_jacobian_pairs_survive_later_stencil_calls():
