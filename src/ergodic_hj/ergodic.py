@@ -74,17 +74,16 @@ class ErgodicConstantEstimate:
     notes: list = field(default_factory=list)
 
 
-def _stationary_terms(phi, lam, f, m, h, periodic):
+def _stationary_terms(phi, lam, f, m, h, stencil):
     """Residual lam - lap_h phi + H_h(phi) - f of the explicit scheme.
 
-    Also returns q2 and, per axis, the upwind pair (a, b) and the diffusion
-    weight, which the Jacobian needs; these come from the explicit step's
-    own stencil arithmetic, ``kernels.Plan``, in fresh arrays.  Tori wrap around;
-    on a box a wall node keeps, along the wall-normal axis, no diffusion and
-    only the inward upwind pair.
+    ``stencil`` is a ``kernels.Plan`` for phi's shape and boundary: the
+    explicit step's own stencil arithmetic.  Also returns q2 and, per axis,
+    the upwind pair (a, b) and the diffusion weight, which the Jacobian
+    needs, in fresh arrays.  Tori wrap around; on a box a wall node keeps,
+    along the wall-normal axis, no diffusion and only the inward upwind pair.
     """
     inv_h = 1.0 / h
-    stencil = Plan(phi.shape, periodic)
     stencil.load(phi)
     lap = stencil.laplacian(inv_h * inv_h)
     pairs = []
@@ -92,7 +91,7 @@ def _stationary_terms(phi, lam, f, m, h, periodic):
     axes = []
     for axis, (a, b) in enumerate(pairs):
         w = np.ones_like(phi)
-        if not periodic:
+        if not stencil.periodic:
             w[(slice(None),) * axis + ([0, -1],)] = 0.0
         axes.append((a, b, w))
     ham = q2 if m == 2.0 else q2 ** (0.5 * m)
@@ -171,7 +170,9 @@ def _solve_stationary(f: GridFunction, m: float):
     phi = np.sqrt(sum(x * x for x in grid.meshed_coords()))
     lam = 0.0
     tol = NEWTON_RTOL * max(1.0, float(np.max(np.abs(f.values))))
-    terms = _stationary_terms(phi, lam, f.values, m, h, grid.periodic)
+    # one plan per solve: it is freed with the solve, unlike the steps' cache
+    stencil = Plan(grid.shape, grid.periodic)
+    terms = _stationary_terms(phi, lam, f.values, m, h, stencil)
     history = [float(np.max(np.abs(terms[0])))]
     converged = False
     while True:
@@ -189,7 +190,7 @@ def _solve_stationary(f: GridFunction, m: float):
         alpha = 1.0
         for _ in range(NEWTON_HALVINGS + 1):
             phi_t, lam_t = phi + alpha * dphi, lam + alpha * dlam
-            trial = _stationary_terms(phi_t, lam_t, f.values, m, h, grid.periodic)
+            trial = _stationary_terms(phi_t, lam_t, f.values, m, h, stencil)
             r = float(np.max(np.abs(trial[0])))
             if r < history[-1]:
                 break

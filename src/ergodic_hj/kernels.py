@@ -17,9 +17,9 @@ keeps it copies it and none writes into it.
 
 The step and heat kernels run thousands of times per shape and share one
 cached plan per ``(shape, periodic)`` (``plan``), so the kernels are not
-thread-safe (the parallel ladder uses processes).  The Newton residual and
-the scheme fields run a few times per grid; they build a plan per call,
-which costs less than a step and keeps no buffer alive after it.
+thread-safe (the parallel ladder uses processes).  A Newton solve builds
+one plan for its iterations and the scheme fields one per call, so their
+buffers are freed with them.
 
 Every node evaluates the same expression tree: ((u+ - 2 u) + u-) * inv_h2
 per axis, a = max((u - u-) * inv_h, 0), b = max(-((u+ - u) * inv_h), 0),
@@ -79,6 +79,7 @@ class Plan:
     """
 
     def __init__(self, shape, periodic):
+        self.periodic = periodic
         self.lap = np.zeros(shape)
         # 0-d operand cells: the per-call scalars, then two constants
         self.inv_h, self.inv_h2, self.dt, self.half_m = (np.zeros(()) for _ in range(4))

@@ -26,6 +26,7 @@ from ergodic_hj import (
 )
 from ergodic_hj import ergodic
 from ergodic_hj.ergodic import ErgodicApprox
+from ergodic_hj.kernels import Plan
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +275,8 @@ def _newton_state(kind, dim, m):
     x = g.meshed_coords()
     phi = np.sqrt(sum(c * c for c in x)) + 0.3 * np.cos(2.0 * x[0]) + 0.2
     f = sample(SourceSpec("power", alpha=m), g).values
-    terms = ergodic._stationary_terms(phi, 0.4, f, m, g.spacing, g.periodic)
+    stencil = Plan(g.shape, g.periodic)
+    terms = ergodic._stationary_terms(phi, 0.4, f, m, g.spacing, stencil)
     origin = int(np.ravel_multi_index(g.origin_index, g.shape))
     return g, phi, terms, origin
 

@@ -207,14 +207,15 @@ def test_plan_cache_serves_interleaved_shapes_and_scalars():
 
 def test_jacobian_pairs_survive_later_stencil_calls():
     # the Newton Jacobian keeps q2 and each axis's (a, b) while the next
-    # iterate is evaluated; the shared plan's buffers must not alias them
+    # iterate is evaluated on the same plan; its buffers must not alias them
     from ergodic_hj.ergodic import _stationary_terms
 
     rng = np.random.default_rng(23)
     u = rng.normal(size=(7, 6))
-    _, q2, axes = _stationary_terms(u, 0.0, np.ones(u.shape), 2.0, 0.25, False)
+    stencil = kernels.Plan(u.shape, False)
+    _, q2, axes = _stationary_terms(u, 0.0, np.ones(u.shape), 2.0, 0.25, stencil)
     kept = [q2.copy()] + [x.copy() for a, b, _ in axes for x in (a, b)]
-    _stationary_terms(-u, 0.0, np.ones(u.shape), 2.0, 0.25, False)
+    _stationary_terms(-u, 0.0, np.ones(u.shape), 2.0, 0.25, stencil)
     kernels.vhj_step(-u, u, 0.1, 0.25, 2.0, False)
     kept_now = [q2] + [x for a, b, _ in axes for x in (a, b)]
     assert all(np.array_equal(x, y) for x, y in zip(kept_now, kept))
