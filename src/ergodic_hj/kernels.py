@@ -6,8 +6,9 @@ zero-Dirichlet heat step, the Newton residual in ``ergodic`` and the
 stencil fields in ``scheme`` all run through it.  On the grids this
 package steps, a step costs per numpy call, not per node, so a plan does
 its Python-side set-up once: at construction it allocates its buffers (a
-copy of the input, or on a torus one ghost-padded copy per axis; lap; and
-per axis the one-sided differences) and binds every view of them.  A call
+copy of the input, or on a torus one ghost-padded copy per axis; lap, and
+in 2D a buffer for the second axis's second difference; and per axis the
+one-sided differences) and binds every view of them.  A call
 copies its input in, writes its scalars (1/h, 1/h^2, dt, m/2) into 0-d
 cells, which numpy takes as operands at less cost than Python floats, and
 evaluates.  q2 and the step and heat results go to the caller's arrays,
@@ -75,7 +76,8 @@ class Plan:
     The lap of a 1D box keeps its zero walls from allocation; on a 2D box
     a later axis adds onto the axis-0 walls, so those are zeroed on every
     call.  q2 and the step's result go to the caller's arrays, so a plan
-    keeps no node-sized buffer beyond the input copy, lap and ``diff``.
+    keeps no node-sized buffer beyond the input copy, lap, ``diff`` and,
+    in 2D, the second axis's second difference.
     """
 
     def __init__(self, shape, periodic):
@@ -110,11 +112,8 @@ class Plan:
                 self.rings.append(at(slice(None, None, max(n - 1, 1))))
                 if axis == 0 and len(shape) > 1:
                     walls = self.lap[self.rings[0]]
-            diff = np.zeros((2,) + resized(n + 1))
-            if axis:
-                # a later axis's second difference, before it is added, sits
-                # in entries of -d that gradsq overwrites before it reads them
-                acc = diff[(1,) + at(slice(1, n + 1) if periodic else slice(1, -2))]
+            if axis:  # a later axis's second difference, before it is added
+                acc = np.empty(resized(n if periodic else max(n - 2, 0)))
                 into = self.lap[inner]
             else:
                 acc, into = self.lap[inner], None
@@ -124,6 +123,7 @@ class Plan:
             ))
             up, down = at(slice(1, None)), at(slice(None, -1))
             a, b = (0,) + down, (1,) + up
+            diff = np.zeros((2,) + resized(n + 1))
             grad_views.append((
                 x[up], x[down], diff[(0,) + inner], diff[(1,) + inner],
                 diff, a, b, diff[a], diff[b], axis == 0,
