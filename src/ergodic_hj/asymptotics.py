@@ -13,7 +13,7 @@ defining inequality of the barrier (the upwind residual from
 ``scheme.residual_field``), its initial-time domination, and domination at
 every later snapshot; each margin is min s*(barrier - v).  The public checks
 keep only what differs between the sides: the run kind and scale clamp, the
-window extraction, the source, and the offset.
+source, the initial window and the offset.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .grid import (
     make_grid,
     restrict,
     sample,
-    torus_values_on_window,
 )
 from .parabolic import DiagnosticsTrace, evolve
 from .problem import ProblemSpec
@@ -58,7 +57,6 @@ class LargeTimeReport:
     final_sup_error: float
     final_flatness: float
     snapshots: list = field(default_factory=list)  # (t, GridFunction of v)
-    verdicts: dict = field(default_factory=dict)
     trace: DiagnosticsTrace | None = None  # the evolution's per-sample records
 
 
@@ -227,7 +225,6 @@ def barrier_check_upper(
         problem.m, resolution_constant, slack, domination_tol,
         scale=max(1.0 + phi_r_run.constant - lambda_star, 1.0),
         source=sample(problem.source, prof.grid).values,
-        window=restrict,
         init_w=min(prof.grid.half_width, phi.grid.half_width),
         offset=lambda m_r: max(-m_r, 0.0),
     )
@@ -271,7 +268,6 @@ def barrier_check_lower(
         problem.m, resolution_constant, slack, domination_tol,
         scale=min(gamma, 1.0),
         source=np.minimum(sample(problem.source, psi.grid).values, psi_run.cutoff),
-        window=torus_values_on_window,
         init_w=int(round(cell_w / h)) * h,
         offset=lambda tilde_m: tilde_m,
     )
@@ -292,14 +288,15 @@ def _reference_time(side, run, kind, phi, epsilon, report):
 def _barrier_verdict(
     side, run, phi, lambda_star, c_hat, epsilon, t_ref, report,
     m, resolution_constant, slack, domination_tol,
-    *, scale, source, window, init_w, offset,
+    *, scale, source, init_w, offset,
 ) -> BarrierVerdict:
     """Checks (a)-(c) for either side, with s = +1 (upper) or -1 (lower).
 
     The barrier is scale*profile + c_hat + s*eps + offset + drift*(t - t_ref),
-    drift = scale*constant - lambda*.  ``window(gf, w)`` puts the profile on a
-    box window, and (b) uses the window of half-width ``init_w``.  ``offset``
-    maps the gap min s*(scale*profile - phi) on that window to the lift.
+    drift = scale*constant - lambda*.  ``restrict`` puts the profile on a box
+    window (wrapping on a torus), and (b) uses the window of half-width
+    ``init_w``.  ``offset`` maps the gap min s*(scale*profile - phi) on that
+    window to the lift.
     Every margin is min s*(barrier - v), so it is nonnegative when the
     barrier lies on its side of v.  Products are taken before the difference
     (s*a - s*b) so that an exact tie yields +0.0 on both sides.
@@ -324,7 +321,7 @@ def _barrier_verdict(
         return float(np.min(s * barrier - s * restrict(v, w).values))
 
     # (b) at barrier time zero the barrier lies on its side of v(., t_ref)
-    scaled_0 = window(scaled, init_w).values
+    scaled_0 = restrict(scaled, init_w).values
     gap = margin(scaled_0, phi, init_w)
     lift = offset(gap)
     barrier_0 = scaled_0 + c_hat + s * epsilon + lift
@@ -333,7 +330,7 @@ def _barrier_verdict(
 
     # (c) the drifting barrier stays there on the window at every later snapshot
     w = report.window_half_width
-    barrier_w = window(scaled, w).values + c_hat + s * epsilon + lift
+    barrier_w = restrict(scaled, w).values + c_hat + s * epsilon + lift
     later_margin = math.inf
     for t, v_snap in report.snapshots:
         if t <= t_ref + 1e-9:

@@ -6,8 +6,9 @@ config sequentially reproduces the files byte for byte; wall-clock timings
 go to a separate timings.txt precisely so the scientific outputs stay
 deterministic.
 
-Exit codes: 0 pass, 1 scientific verdict failure, 2 usage or config error,
-3 numerical blow-up.
+Exit codes: 0 pass, 1 scientific verdict failure, 2 usage or config error
+(a tabulated source that cannot serve the run included), 3 numerical
+failure: a blow-up or a stalled oracle.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from .errors import (
     AlignmentError,
     BlowUpError,
     BracketInconsistencyError,
+    CoercivityError,
     ConfigError,
     StagnationError,
+    TableRangeError,
 )
 from .grid import (
     Grid,
@@ -111,10 +114,7 @@ def build_problem(cfg: dict) -> ProblemSpec:
 
 def build_scheme(cfg: dict) -> SchemeConfig:
     block = get_path(cfg, "scheme", default={})
-    return SchemeConfig(
-        cfl_safety=float(block.get("cfl_safety", 0.9)),
-        grad_cap=float(block.get("grad_cap", 1.0)),
-    )
+    return SchemeConfig(cfl_safety=float(block.get("cfl_safety", 0.9)))
 
 
 def _blow_up_cap(cfg: dict) -> float:
@@ -310,12 +310,11 @@ def cmd_ergodic(cfg, out_dir, jobs=1, json_flag=False, allow_partial=False):
         fh.write("# wall-clock seconds per run; excluded from determinism checks\n")
         for tag, dt in timings:
             fh.write(f"{tag} {dt:.3f}\n")
-    gap_str = "inf" if math.isinf(est.gap) else repr(est.gap)
     lines = [
         f"value: {est.value!r}",
         f"upper_bracket: {est.upper_bracket!r}",
         f"lower_bracket: {est.lower_bracket!r}",
-        f"gap: {gap_str}",
+        f"gap: {est.gap!r}",
         f"lower_is_heuristic: {est.lower_is_heuristic}",
     ]
     for note in est.notes:
@@ -602,7 +601,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg, args.out, args.json)
         return cmd_all(cfg, args.out, args.jobs, args.json, args.allow_partial)
-    except (ConfigError, AlignmentError) as exc:
+    except (ConfigError, AlignmentError, TableRangeError, CoercivityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:

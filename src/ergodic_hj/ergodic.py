@@ -77,25 +77,23 @@ class ErgodicConstantEstimate:
 def _stationary_terms(phi, lam, f, m, h, stencil):
     """Residual lam - lap_h phi + H_h(phi) - f of the explicit scheme.
 
-    ``stencil`` is a ``kernels.Plan`` for phi's shape and boundary: the
-    explicit step's own stencil arithmetic.  Also returns q2 and, per axis,
-    the upwind pair (a, b) and the diffusion weight, which the Jacobian
-    needs, in fresh arrays.  Tori wrap around; on a box a wall node keeps,
-    along the wall-normal axis, no diffusion and only the inward upwind pair.
+    ``stencil`` is a ``kernels.Plan`` for phi's shape and boundary, and
+    ``Plan.residual`` evaluates the explicit step's own stencil arithmetic.
+    Also returns q2 and, per axis, the upwind pair (a, b) and the diffusion
+    weight, which the Jacobian needs, in fresh arrays.  Tori wrap around; on
+    a box a wall node (the plan's ``rings``) keeps, along the wall-normal
+    axis, no diffusion and only the inward upwind pair.
     """
     inv_h = 1.0 / h
-    stencil.load(phi)
-    lap = stencil.laplacian(inv_h * inv_h)
     pairs = []
-    q2 = stencil.gradsq(inv_h, np.empty_like(phi), pairs)
+    res, q2 = stencil.residual(phi, lam, f, m, inv_h, inv_h * inv_h, pairs)
     axes = []
     for axis, (a, b) in enumerate(pairs):
         w = np.ones_like(phi)
         if not stencil.periodic:
-            w[(slice(None),) * axis + ([0, -1],)] = 0.0
+            w[stencil.rings[axis]] = 0.0
         axes.append((a, b, w))
-    ham = q2 if m == 2.0 else q2 ** (0.5 * m)
-    return lam - lap + ham - f, q2, axes
+    return res, q2, axes
 
 
 def _jacobian(q2, axes, m, h, origin):
@@ -214,10 +212,7 @@ def _finish_run(m, f, phi, constant, converged, stop_info, kind, cutoff=None):
     vals = phi - phi[grid.origin_index]
     profile = GridFunction(grid, vals)
     res = residual_ergodic(constant, profile, f, m, "central")
-    w = min(default_window_half_width(res.grid), res.grid.half_width)
-    h = res.grid.spacing
-    w = max(int(round(w / h)), 1) * h
-    res_k = restrict(res, w)
+    res_k = restrict(res, default_window_half_width(res.grid))
     return ErgodicApprox(
         kind=kind,
         half_width=grid.half_width,

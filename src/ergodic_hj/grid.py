@@ -113,8 +113,8 @@ class GridFunction:
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}"
             )
         if not np.all(np.isfinite(v)):
-            bad = np.argwhere(~np.isfinite(v))[0]
-            raise ValueError(f"non-finite value at node index {tuple(bad)}")
+            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(v))[0])
+            raise ValueError(f"non-finite value at node index {bad}")
         object.__setattr__(self, "values", v)
 
     def value_at_origin(self) -> float:
@@ -137,13 +137,13 @@ def sample(spec_or_fn, grid: Grid) -> GridFunction:
         vals = np.broadcast_to(vals, grid.shape).copy()
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
-        pt = tuple(c[tuple(bad)] if np.ndim(c) else float(c) for c in coords)
+        pt = tuple(float(c[tuple(bad)] if np.ndim(c) else c) for c in coords)
         raise ValueError(f"evaluation produced a non-finite value at node {pt}")
     return GridFunction(grid, vals)
 
 
-def window_slices(grid: Grid, window_half_width: float) -> tuple:
-    """Index slices selecting the aligned sub-box [-w, w]^dim."""
+def _aligned_steps(grid: Grid, window_half_width: float) -> int:
+    """k with window_half_width = k h, or AlignmentError naming the nearest."""
     h = grid.spacing
     steps = window_half_width / h
     k = int(round(steps))
@@ -155,6 +155,15 @@ def window_slices(grid: Grid, window_half_width: float) -> tuple:
             f"nearest aligned widths are {lo:.12g} and {hi:.12g}",
             nearest=(lo, hi),
         )
+    return k
+
+
+def window_slices(grid: Grid, window_half_width: float) -> tuple:
+    """Index slices selecting the aligned sub-box [-w, w]^dim.
+
+    The slices select views, so on a torus the window must fit in the cell.
+    """
+    k = _aligned_steps(grid, window_half_width)
     center = (grid.nodes_per_axis - 1) // 2
     if k > center or (grid.periodic and center + k >= grid.n_store):
         raise AlignmentError(
@@ -165,16 +174,24 @@ def window_slices(grid: Grid, window_half_width: float) -> tuple:
 
 
 def restrict(gf: GridFunction, window_half_width: float) -> GridFunction:
-    """Copy of the function on the compact window [-w, w]^dim (box grid)."""
-    slices = window_slices(gf.grid, window_half_width)
-    k = (slices[0].stop - slices[0].start - 1) // 2
+    """Copy of the function on the compact window [-w, w]^dim (box grid).
+
+    On a torus the indices wrap, so the window may extend past the cell.
+    """
+    g = gf.grid
+    if g.periodic:
+        k = _aligned_steps(g, window_half_width)
+        idx = np.mod((g.nodes_per_axis - 1) // 2 + np.arange(-k, k + 1), g.n_store)
+        vals = gf.values[np.ix_(*[idx] * g.dim)]
+    else:
+        vals = gf.values[window_slices(g, window_half_width)].copy()
     sub = Grid(
         kind="box",
         half_width=window_half_width,
-        nodes_per_axis=2 * k + 1,
-        dim=gf.grid.dim,
+        nodes_per_axis=vals.shape[0],
+        dim=g.dim,
     )
-    return GridFunction(sub, gf.values[slices].copy())
+    return GridFunction(sub, vals)
 
 
 def grids_equal(a: Grid, b: Grid, tol=1e-9) -> bool:
@@ -199,32 +216,6 @@ def grids_aligned(a: Grid, b: Grid, tol=1e-9) -> bool:
     return a.dim == b.dim and abs(a.spacing - b.spacing) <= tol * max(
         a.spacing, b.spacing
     )
-
-
-def torus_values_on_window(gf: GridFunction, window_half_width: float) -> GridFunction:
-    """Periodic function evaluated on a box window, wrapping indices as needed.
-
-    Unlike ``restrict`` this may extend past the fundamental cell.
-    """
-    g = gf.grid
-    if not g.periodic:
-        raise GridMismatchError("torus_values_on_window expects a torus function")
-    h = g.spacing
-    steps = window_half_width / h
-    k = int(round(steps))
-    if abs(steps - k) > 1e-9 * max(1.0, steps):
-        raise AlignmentError(
-            f"window half-width {window_half_width} is not node-aligned"
-        )
-    n = g.n_store
-    center = (g.nodes_per_axis - 1) // 2
-    idx = np.mod(center + np.arange(-k, k + 1), n)
-    sub = Grid(kind="box", half_width=k * h, nodes_per_axis=2 * k + 1, dim=g.dim)
-    if g.dim == 1:
-        vals = gf.values[idx]
-    else:
-        vals = gf.values[np.ix_(idx, idx)]
-    return GridFunction(sub, vals.copy())
 
 
 # ---------------------------------------------------------------------------

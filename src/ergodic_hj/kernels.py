@@ -2,8 +2,9 @@
 
 A stencil plan (``Plan``) for one array shape, box or torus, holds the
 arithmetic.  The explicit step (boxes and tori, 1D and 2D), the
-zero-Dirichlet heat step, the Newton residual in ``ergodic`` and the
-stencil fields in ``scheme`` all run through it.  On the grids this
+zero-Dirichlet heat step and the stationary residual c - lap + H - rhs
+(``Plan.residual``, which Newton in ``ergodic`` and the barrier residual
+in ``scheme`` both evaluate) all run through it.  On the grids this
 package steps, a step costs per numpy call, not per node, so a plan does
 its Python-side set-up once: at construction it allocates its buffers (a
 copy of the input, or on a torus one ghost-padded copy per axis; lap, and
@@ -11,16 +12,16 @@ in 2D a buffer for the second axis's second difference; and per axis the
 one-sided differences) and binds every view of them.  A call
 copies its input in, writes its scalars (1/h, 1/h^2, dt, m/2) into 0-d
 cells, which numpy takes as operands at less cost than Python floats, and
-evaluates.  q2 and the step and heat results go to the caller's arrays,
-and upwind pairs, when asked for, to fresh ones.  The lap a plan hands out
-is its own buffer, overwritten by the next call on it, so a caller that
-keeps it copies it and none writes into it.
+evaluates.  q2 and the step and heat results go to the caller's arrays;
+the residual, its q2 and upwind pairs, when asked for, to fresh ones.  The
+lap a plan hands out is its own buffer, overwritten by the next call on
+it, so a caller that keeps it copies it and none writes into it.
 
 The step and heat kernels run thousands of times per shape and share one
 cached plan per ``(shape, periodic)`` (``plan``), so the kernels are not
 thread-safe (the parallel ladder uses processes).  A Newton solve builds
-one plan for its iterations and the scheme fields one per call, so their
-buffers are freed with them.
+one plan for its iterations and ``scheme.residual_field`` one per call, so
+their buffers are freed with them.
 
 Every node evaluates the same expression tree: ((u+ - 2 u) + u-) * inv_h2
 per axis, a = max((u - u-) * inv_h, 0), b = max(-((u+ - u) * inv_h), 0),
@@ -75,9 +76,9 @@ class Plan:
 
     The lap of a 1D box keeps its zero walls from allocation; on a 2D box
     a later axis adds onto the axis-0 walls, so those are zeroed on every
-    call.  q2 and the step's result go to the caller's arrays, so a plan
-    keeps no node-sized buffer beyond the input copy, lap, ``diff`` and,
-    in 2D, the second axis's second difference.
+    call.  q2 and every result go to the caller's arrays or to fresh ones,
+    so a plan keeps no node-sized buffer beyond the input copy, lap,
+    ``diff`` and, in 2D, the second axis's second difference.
     """
 
     def __init__(self, shape, periodic):
@@ -178,6 +179,17 @@ class Plan:
                 q2 += a2
                 q2 += b2
         return q2
+
+    def residual(self, u, c, rhs, m, inv_h, inv_h2, pairs=None):
+        """(c - lap + H - rhs, q2) of ``u`` on every node, in fresh arrays.
+
+        The stationary residual of the step: Newton's and the barrier
+        check's.  ``pairs`` is passed on to ``gradsq``."""
+        self.load(u)
+        lap = self.laplacian(inv_h2)
+        q2 = self.gradsq(inv_h, np.empty_like(u), pairs)
+        ham = q2 if m == 2.0 else q2 ** (0.5 * m)
+        return c - lap + ham - rhs, q2
 
     def step(self, u, f, dt, inv_h, inv_h2, m, out):
         """out = u + dt * ((lap - H) + f) on a box or a torus of any dimension."""

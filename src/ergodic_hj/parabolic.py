@@ -21,19 +21,12 @@ import numpy as np
 
 from . import kernels
 from .errors import BlowUpError, ConfigError
-from .grid import (
-    Grid,
-    GridFunction,
-    grids_equal,
-    restrict,
-    torus_values_on_window,
-    window_slices,
-)
+from .grid import Grid, GridFunction, grids_equal, restrict, window_slices
 from .problem import ProblemSpec
 from .scheme import SchemeConfig, cfl_timestep
 
-#: the CFL bound uses L = max(GRAD_HEADROOM * measured gradient, grad_cap)
-GRAD_HEADROOM = 1.5
+#: steps between two measurements of the gradient that sizes the CFL step
+REFRESH_STEPS = 100
 #: Hoelder quotients in the trace compare samples at most this far apart
 HOLDER_MAX_GAP = 1.0
 
@@ -102,7 +95,6 @@ def evolve(
     sample_interval: float = 0.25,
     slope_window: float = 1.0,
     window_half_width: float | None = None,
-    refresh_every: int = 100,
     blow_up_cap: float = 1e3,
     snapshot_times=(),
 ) -> EvolutionState:
@@ -116,8 +108,6 @@ def evolve(
 
     if T < 0:
         raise ConfigError("T must be nonnegative")
-    if refresh_every < 1:
-        raise ConfigError("refresh_every must be a positive step count")
     config = config or SchemeConfig()
     if source is None:
         source = sample_fn(problem.source, grid)
@@ -138,9 +128,7 @@ def evolve(
     h, periodic = grid.spacing, grid.periodic
     inv_h = 1.0 / h
     grad = kernels.max_onesided_gradient(u, inv_h, periodic)
-    L = max(GRAD_HEADROOM * grad, config.grad_cap)
-    live_cfg = SchemeConfig(config.cfl_safety, L)
-    dt_cfl = cfl_timestep(grid, live_cfg, m)
+    dt_cfl = cfl_timestep(grid, config, m, grad)
 
     snapshots = []
     snap_iter = iter(sorted(snapshot_times))
@@ -152,7 +140,7 @@ def evolve(
     eps = 1e-12
     next_sample = sample_interval
     target = _next_target(next_sample, next_snap, T)
-    countdown = refresh_every  # steps left until the CFL step is refreshed
+    countdown = REFRESH_STEPS  # steps left until the CFL step is refreshed
     while t < T - eps:
         dt = min(dt_cfl, target - t)
         kernels.vhj_step(u, fvals, dt, h, m, periodic, out)
@@ -160,7 +148,7 @@ def evolve(
         t += dt
         countdown -= 1
         if not countdown:
-            countdown = refresh_every
+            countdown = REFRESH_STEPS
             grad = kernels.max_onesided_gradient(u, inv_h, periodic)
             if not math.isfinite(grad) and not np.all(np.isfinite(u)):
                 _raise_nonfinite(u, t, grid)
@@ -171,9 +159,7 @@ def evolve(
                     t=t,
                     max_gradient=grad,
                 )
-            L = max(GRAD_HEADROOM * grad, config.grad_cap)
-            live_cfg = SchemeConfig(config.cfl_safety, L)
-            dt_cfl = cfl_timestep(grid, live_cfg, m)
+            dt_cfl = cfl_timestep(grid, config, m, grad)
         if t < target - eps:
             continue
         if next_snap is not None and t >= next_snap - eps:
@@ -233,17 +219,8 @@ def holder_quotient(
     snaps = [(t, v) for t, v in trace.window_snapshots if t >= tau - 1e-12]
     if len(snaps) < 2:
         raise ConfigError("need at least two samples past tau for a Hoelder quotient")
-    best = 0.0
-    for i in range(len(snaps)):
-        ti, vi = snaps[i]
-        for j in range(i + 1, len(snaps)):
-            tj, vj = snaps[j]
-            gap = tj - ti
-            if gap > max_gap + 1e-12:
-                break
-            q = float(np.max(np.abs(vj - vi))) / math.sqrt(gap)
-            best = max(best, q)
-    return best
+    # nan (no earlier partner within max_gap) never beats the leading 0.0
+    return max([0.0] + [_holder_against_recent(v, t, snaps, max_gap) for t, v in snaps])
 
 
 def gradient_monitor(u: GridFunction, inner_half_width: float, source=None, m=None):
@@ -259,17 +236,16 @@ def gradient_monitor(u: GridFunction, inner_half_width: float, source=None, m=No
         raise ConfigError("inner window must sit strictly inside the grid")
     # both windows are sub-boxes, even on a torus, where the enclosing one
     # may wrap past the cell
-    window = torus_values_on_window if g.periodic else restrict
     h = g.spacing
     inv_h = 1.0 / h
-    vals = window(u, inner_half_width).values
+    vals = restrict(u, inner_half_width).values
     max_grad = kernels.max_onesided_gradient(vals, inv_h, False)
     result = {"max_grad": max_grad}
     if source is not None and m is not None:
         enclosing = int(round((inner_half_width + 1.0) / h)) * h
         if not g.periodic:
             enclosing = min(enclosing, g.half_width)
-        fw = window(source, enclosing)
+        fw = restrict(source, enclosing)
         sup_f = float(np.max(np.abs(fw.values)))
         # |Df| via one-sided differences of the sampled source on the window
         sup_df = kernels.max_onesided_gradient(fw.values, inv_h, False)

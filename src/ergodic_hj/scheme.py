@@ -1,8 +1,10 @@
-"""Discrete spatial operators and residual evaluators.
+"""Discrete spatial operators, residual evaluators and the CFL rule.
 
-The evolution uses the monotone upwind gradient stencil; verification
-residuals on smooth candidates use central differences, which are
-second-order there.  All operators are pure per-node computations.
+The evolution uses the monotone upwind gradient stencil, whose stationary
+residual (``kernels.Plan.residual``) both Newton and the barrier checks
+evaluate; verification residuals on smooth candidates use central
+differences, which are second-order there.  ``cfl_timestep`` is the one
+home of the explicit step's size.
 """
 
 from __future__ import annotations
@@ -16,22 +18,27 @@ from .grid import Grid, GridFunction, grids_equal, interior_grid
 from .kernels import Plan
 
 
+#: the CFL bound's Lipschitz estimate: L = max(GRAD_HEADROOM * grad, 1)
+GRAD_HEADROOM = 1.5
+
+
 @dataclass
 class SchemeConfig:
     cfl_safety: float = 0.9
-    grad_cap: float = 1.0  # Lipschitz cap L used in the CFL bound
 
     def __post_init__(self):
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ConfigError("cfl_safety must lie in (0, 1]")
-        if not self.grad_cap > 0.0:
-            raise ConfigError("grad_cap must be positive")
 
 
-def cfl_timestep(grid: Grid, config: SchemeConfig, m: float) -> float:
-    """dt = safety / (2N/h^2 + m L^(m-1)/h): keeps the explicit update monotone."""
+def cfl_timestep(grid: Grid, config: SchemeConfig, m: float, grad: float) -> float:
+    """dt = safety / (2N/h^2 + m L^(m-1)/h): keeps the explicit update monotone.
+
+    L = max(GRAD_HEADROOM * grad, 1), with ``grad`` the largest one-sided
+    difference of the state the step starts from.
+    """
     h = grid.spacing
-    L = config.grad_cap
+    L = max(GRAD_HEADROOM * grad, 1.0)
     denom = 2.0 * grid.dim / (h * h) + m * L ** (m - 1.0) / h
     return config.cfl_safety / denom
 
@@ -56,23 +63,6 @@ def _neighbor_views(values, axis, periodic):
 
 def _interior(g: Grid, values: np.ndarray) -> np.ndarray:
     return values if g.periodic else values[(slice(1, -1),) * g.dim]
-
-
-def laplacian_field(gf: GridFunction) -> np.ndarray:
-    """Second differences; interior shape for boxes, full shape for tori."""
-    g = gf.grid
-    inv_h = 1.0 / g.spacing
-    stencil = Plan(g.shape, g.periodic)
-    stencil.load(gf.values)
-    return _interior(g, stencil.laplacian(inv_h * inv_h))
-
-
-def upwind_gradsq_field(gf: GridFunction) -> np.ndarray:
-    """sum_i max(D-,0)^2 + max(-D+,0)^2 (interior for boxes)."""
-    g = gf.grid
-    stencil = Plan(g.shape, g.periodic)
-    stencil.load(gf.values)
-    return _interior(g, stencil.gradsq(1.0 / g.spacing, np.empty(g.shape)))
 
 
 def central_gradsq_field(gf: GridFunction) -> np.ndarray:
@@ -182,11 +172,21 @@ def residual_field(
     """constant - lap(phi) + H(phi) - rhs, with ``rhs`` given on every node.
 
     Returned on the box interior (all nodes for tori).  Every residual and
-    barrier check evaluates this one expression.
+    barrier check evaluates this one expression: the upwind stencil is the
+    scheme's own residual (``kernels.Plan.residual``), the central one
+    swaps in centered differences for the gradient.
     """
-    lap = laplacian_field(profile)
-    ham = hamiltonian_field(profile, m, stencil)
-    return constant - lap + ham - _interior(profile.grid, rhs)
+    g = profile.grid
+    inv_h = 1.0 / g.spacing
+    plan = Plan(g.shape, g.periodic)
+    if stencil == "upwind":
+        res, _ = plan.residual(profile.values, constant, rhs, m, inv_h, inv_h * inv_h)
+        return _interior(g, res)
+    plan.load(profile.values)
+    lap = _interior(g, plan.laplacian(inv_h * inv_h))
+    q2 = central_gradsq_field(profile)
+    ham = q2 if m == 2.0 else q2 ** (0.5 * m)
+    return constant - lap + ham - _interior(g, rhs)
 
 
 def residual_ergodic(

@@ -355,6 +355,38 @@ def test_bracket_inconsistency_exits_one_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _table_config(tmp_path, ergodic_block):
+    # f = x^2 tabulated on [-3, 3] only
+    table = tmp_path / "square.csv"
+    table.write_text("".join(f"{x!r},{x * x!r}\n" for x in np.linspace(-3, 3, 61).tolist()))
+    path = tmp_path / "table.cfg"
+    path.write_text(
+        "problem:\n  m: 2.0\n  dim: 1\n  source:\n    family: custom_table\n"
+        f"    table_path: {table}\nergodic:\n{ergodic_block}"
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "ergodic_block, message",
+    [
+        ("  ladder: [4.0]\n  spacing: 0.1\n", "point outside table range [-3.0, 3.0]"),
+        (
+            "  ladder: [2.0]\n  cutoffs: [16.0]\n  spacing: 0.1\n",
+            "source never exceeds cutoff 16.0 within the search range (table truncated)",
+        ),
+    ],
+    ids=["table_range", "table_below_cutoff"],
+)
+def test_table_source_that_cannot_serve_the_run_exits_two(
+    tmp_path, capsys, ergodic_block, message
+):
+    cfg = _table_config(tmp_path, ergodic_block)
+    code = main(["ergodic", "--config", cfg, "--out", str(tmp_path / "erg")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_validate_csv_cells_are_plain_floats(quick_cfg, tmp_path):
     out = tmp_path / "val"
     assert main(["validate", "--config", quick_cfg, "--out", str(out)]) == 0

@@ -315,6 +315,35 @@ def test_pinned_newton_step_matches_bordered_solve(kind, dim, m):
     assert abs(dlam - ref[-1]) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("m", [2.0, 1.5])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["box", "torus"])
+def test_jacobian_matches_central_differences_of_the_residual(kind, dim, m):
+    # away from every upwind switch the residual is smooth in phi, so
+    # K v - v_o e_o = J v is its directional derivative along v
+    g = make_grid(kind, 2.0, 0.25 if dim == 1 else 0.5, dim)
+    x = g.meshed_coords()
+    phi = (x[0] + 0.3) ** 2 + (0.5 * (x[1] - 0.2) ** 2 if dim == 2 else 0.0)
+    for axis in range(dim):
+        ends = np.concatenate((phi, phi.take([0], axis)), axis) if g.periodic else phi
+        assert np.min(np.abs(np.diff(ends, axis=axis))) / g.spacing >= 1e-3
+    f = sample(SourceSpec("power", alpha=m), g).values
+    stencil = Plan(g.shape, g.periodic)
+    inv_h = 1.0 / g.spacing
+    _, q2, axes = ergodic._stationary_terms(phi, 0.4, f, m, g.spacing, stencil)
+    origin = int(np.ravel_multi_index(g.origin_index, g.shape))
+    v = np.random.default_rng(7).standard_normal(phi.shape)
+    jv = ergodic._jacobian(q2, axes, m, g.spacing, origin) @ v.ravel()
+    jv[origin] -= v.flat[origin]
+
+    def residual(state):
+        return stencil.residual(state, 0.4, f, m, inv_h, inv_h * inv_h)[0].ravel()
+
+    eps = 1e-7
+    fd = (residual(phi + eps * v) - residual(phi - eps * v)) / (2.0 * eps)
+    assert np.max(np.abs(fd - jv)) <= 1e-6 * np.max(np.abs(jv))
+
+
 def test_2d_benchmark_constants_unchanged():
     # the one box rung and one torus rung of the 2D benchmark config
     p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=2)

@@ -20,12 +20,7 @@ from ergodic_hj import (
     sample,
     sup_norm_diff,
 )
-from ergodic_hj.grid import (
-    read_table,
-    torus_values_on_window,
-    window_slices,
-    write_table,
-)
+from ergodic_hj.grid import read_table, window_slices, write_table
 
 
 def test_node_coordinates_reproducible():
@@ -81,8 +76,14 @@ def test_nonfinite_values_rejected():
     g = make_grid("box", 1.0, 0.25, 1)
     vals = np.zeros(g.shape)
     vals[3] = np.inf
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         GridFunction(g, vals)
+    assert str(err.value) == "non-finite value at node index (3,)"
+    # sample names the node by its coordinates, as plain floats
+    with pytest.raises(ValueError) as err:
+        sample(lambda x: np.where(x == 0.5, np.inf, x), g)
+    assert str(err.value) == "evaluation produced a non-finite value at node (0.5,)"
+    assert "np." not in str(err.value)
 
 
 def test_restrict_full_width_is_identity():
@@ -166,10 +167,19 @@ def test_sup_norm_triangle_inequality(vals):
 def test_torus_window_wraps():
     g = make_grid("torus", 2.0, 0.5, 1)
     gf = sample(lambda x: x.copy(), g)
-    win = torus_values_on_window(gf, 2.0)
+    win = restrict(gf, 2.0)
     # +2 wraps to the stored -2 node
     assert win.values[0] == -2.0
     assert win.values[-1] == -2.0
+    # past the cell the indices keep wrapping, in 2D along both axes
+    wide = restrict(sample(lambda x, y: x + 10.0 * y, make_grid("torus", 2.0, 0.5, 2)), 3.0)
+    assert wide.grid.nodes_per_axis == 13
+    assert wide.values[0, 0] == 1.0 + 10.0 * 1.0  # (-3, -3) is the stored (1, 1)
+    assert wide.values[-1, 6] == -1.0  # (3, 0) is the stored (-1, 0)
+    # a misaligned torus window names the nearest aligned widths, as on a box
+    with pytest.raises(AlignmentError) as err:
+        restrict(gf, 1.3)
+    assert err.value.nearest == pytest.approx((1.0, 1.5))
 
 
 def test_csv_roundtrip_1d(tmp_path):

@@ -307,7 +307,7 @@ def test_evolve_calls_vhj_step_once_per_step(monkeypatch):
     p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
     g = make_grid("box", 2.0, 0.125, 1)
     original, dts = _recording(monkeypatch, "vhj_step")
-    final = evolve(p, g, 0.6, refresh_every=7)
+    final = evolve(p, g, 0.6)
     assert dts and sum(dts) == pytest.approx(0.6, rel=1e-12)
     # replaying the recorded steps reproduces the run: one call per step
     u, f = sample(p.initial, g).values, sample(p.source, g).values
@@ -333,28 +333,32 @@ def test_parabolic_oracle_calls_heat_step_once_per_step(monkeypatch):
 
 def test_evolve_lands_each_step_on_samples_snapshots_and_horizon(monkeypatch):
     from ergodic_hj import ProblemSpec, SchemeConfig, SourceSpec, evolve, make_grid, sample
+    from ergodic_hj import parabolic
     from ergodic_hj.scheme import cfl_timestep
 
     p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
     g = make_grid("box", 2.0, 0.125, 1)
     original, dts = _recording(monkeypatch, "vhj_step")
-    final = evolve(p, g, 0.9, sample_interval=0.25, snapshot_times=(0.3, 0.6),
-                   refresh_every=7)
+    final = evolve(p, g, 0.9, sample_interval=0.25, snapshot_times=(0.3, 0.6))
     # the rule written out: dt = min(dt_cfl, target - t), the targets being
-    # the sample times, the snapshot times and T, dt_cfl refreshed every 7 steps
+    # the sample times, the snapshot times and T, dt_cfl refreshed every
+    # REFRESH_STEPS steps
     u, f = sample(p.initial, g).values, sample(p.source, g).values
-    dt_cfl = cfl_timestep(g, SchemeConfig(), 2.0)  # zero initial data: L = grad_cap
-    t, expected, reached = 0.0, [], []
+    dt_cfl = cfl_timestep(g, SchemeConfig(), 2.0, 0.0)  # zero initial data
+    t, expected, reached, cfl_steps = 0.0, [], [], [dt_cfl]
     for target in (0.25, 0.3, 0.5, 0.6, 0.75, 0.9):
         while t < target - 1e-12:
             dt = min(dt_cfl, target - t)
             u = original(u, f, dt, g.spacing, 2.0, False)
             t += dt
             expected.append(dt)
-            if len(expected) % 7 == 0:
+            if len(expected) % parabolic.REFRESH_STEPS == 0:
                 grad = kernels.max_onesided_gradient(u, 1.0 / g.spacing, False)
-                dt_cfl = cfl_timestep(g, SchemeConfig(grad_cap=max(1.5 * grad, 1.0)), 2.0)
+                dt_cfl = cfl_timestep(g, SchemeConfig(), 2.0, grad)
+                cfl_steps.append(dt_cfl)
         reached.append(t)
+    # the run is long enough for a refresh, and the refresh moves the step
+    assert len(cfl_steps) >= 2 and cfl_steps[1] != cfl_steps[0]
     assert dts == expected
     assert [s.t for s in final.trace.samples] == [reached[i] for i in (0, 2, 4)]
     assert [ts for ts, _ in final.snapshots] == [reached[1], reached[3]]

@@ -21,6 +21,7 @@ from ergodic_hj import (
     restrict,
     sample,
 )
+from ergodic_hj import parabolic
 from ergodic_hj.kernels import vhj_step
 from ergodic_hj.parabolic import DiagnosticsTrace
 from ergodic_hj.reference import manufactured
@@ -53,7 +54,7 @@ def test_stationary_profile_increments_by_lambda_dt(m):
     assert np.max(np.abs(inc - oracle.lambda_exact)) < 0.1
 
 
-def test_step_detects_nonfinite():
+def test_step_detects_nonfinite(monkeypatch):
     # a huge source overflows the squared gradient on the second step; the
     # check at the next sample names a node, as plain ints
     p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
@@ -68,10 +69,11 @@ def test_step_detects_nonfinite():
     assert "np.int64" not in str(err.value)
     # a gradient refresh that reads the non-finite state names the node too,
     # here the one that overflowed first, instead of reporting a measurement
+    monkeypatch.setattr(parabolic, "REFRESH_STEPS", 1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as err:
             src = GridFunction(g, f)
-            evolve(p, g, 0.1, source=src, refresh_every=1, blow_up_cap=math.inf)
+            evolve(p, g, 0.1, source=src, blow_up_cap=math.inf)
     assert err.value.node == (8,)
     assert str(err.value).startswith("non-finite value at node (8,), t=")
 
@@ -82,14 +84,6 @@ def test_step_bc_grid_consistency():
     torus = make_grid("torus", 2.0, 0.25, 1)
     with pytest.raises(ConfigError):
         evolve(p, g, 1.0, initial=GridFunction(torus, np.zeros(torus.shape)))
-
-
-@pytest.mark.parametrize("refresh_every", [0, -3])
-def test_evolve_rejects_a_nonpositive_refresh_count(refresh_every):
-    p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
-    g = make_grid("box", 2.0, 0.25, 1)
-    with pytest.raises(ConfigError, match="refresh_every"):
-        evolve(p, g, 0.1, refresh_every=refresh_every)
 
 
 def test_evolve_zero_horizon_is_identity():
@@ -163,12 +157,12 @@ def test_trace_samples_strictly_increasing():
 
 
 def test_trace_dt_is_the_cfl_step_in_force():
-    # zero data and zero source keep L at grad_cap, so the CFL step never
+    # zero data and zero source keep L at its floor 1, so the CFL step never
     # changes; it does not divide the sample interval, so the steps that land
     # on sample times are shorter than it and must not be recorded
     p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
     g = make_grid("box", 2.0, 0.1, 1)
-    dt_cfl = cfl_timestep(g, SchemeConfig(), p.m)
+    dt_cfl = cfl_timestep(g, SchemeConfig(), p.m, 0.0)
     assert 0.25 / dt_cfl != round(0.25 / dt_cfl)
     st = evolve(p, g, 2.0, source=GridFunction(g, np.zeros(g.shape)))
     assert len(st.trace.samples) == 8

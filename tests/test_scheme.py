@@ -231,25 +231,24 @@ def test_scaled_sub_rejects_large_scale():
 def test_cfl_formula_values():
     # N=1, h=0.1, L=1, m=2, safety=1: dt = 1/(2/h^2 + 2/h) = 1/220
     g = make_grid("box", 1.0, 0.1, 1)
-    cfg = SchemeConfig(cfl_safety=1.0, grad_cap=1.0)
-    dt = cfl_timestep(g, cfg, 2.0)
-    assert dt == pytest.approx(1.0 / 220.0, rel=1e-12)
+    cfg = SchemeConfig(cfl_safety=1.0)
+    # L = max(1.5 grad, 1): any gradient up to 2/3 keeps the floor L = 1
+    for grad in (0.0, 0.5, 2.0 / 3.0):
+        assert cfl_timestep(g, cfg, 2.0, grad) == pytest.approx(1.0 / 220.0, rel=1e-12)
+    # grad = 2 gives L = 3: dt = 1/(2/h^2 + 2*3/h) = 1/260
+    assert cfl_timestep(g, cfg, 2.0, 2.0) == pytest.approx(1.0 / 260.0, rel=1e-12)
 
 
 def test_cfl_linear_in_safety():
     g = make_grid("box", 1.0, 0.1, 1)
-    full = cfl_timestep(g, SchemeConfig(cfl_safety=1.0, grad_cap=1.0), 2.0)
-    half = cfl_timestep(g, SchemeConfig(cfl_safety=0.5, grad_cap=1.0), 2.0)
+    full = cfl_timestep(g, SchemeConfig(cfl_safety=1.0), 2.0, 0.5)
+    half = cfl_timestep(g, SchemeConfig(cfl_safety=0.5), 2.0, 0.5)
     assert half == pytest.approx(0.5 * full, rel=1e-15)
 
 
 def test_cfl_spacing_halving_between_2x_and_4x():
-    coarse = cfl_timestep(
-        make_grid("box", 1.0, 0.1, 1), SchemeConfig(grad_cap=1.0), 2.0
-    )
-    fine = cfl_timestep(
-        make_grid("box", 1.0, 0.05, 1), SchemeConfig(grad_cap=1.0), 2.0
-    )
+    coarse = cfl_timestep(make_grid("box", 1.0, 0.1, 1), SchemeConfig(), 2.0, 0.5)
+    fine = cfl_timestep(make_grid("box", 1.0, 0.05, 1), SchemeConfig(), 2.0, 0.5)
     ratio = coarse / fine
     assert 2.0 < ratio < 4.0
 
