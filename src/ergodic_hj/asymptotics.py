@@ -4,16 +4,18 @@ constant, and explicit parabolic barriers certify the convergence.
 The additive constant is estimated as the window mean of the discrepancy
 between the shifted evolution and the profile; a flatness certificate
 (max - min over the window) guards against the mean masking divergence.
+``_window_stats`` is the one place these window statistics are computed.
 
 The barrier checks rebuild, on the grid, the super- and subsolution bounds
 used to squeeze the shifted evolution: a scaled state-constraint profile
-drifting upward, and a scaled periodic profile drifting downward.  Both sides
-run one body with a sign s = +1 (upper) or -1 (lower), which verifies the
-defining inequality of the barrier (the upwind residual from
-``scheme.residual_field``), its initial-time domination, and domination at
-every later snapshot; each margin is min s*(barrier - v).  The public checks
-keep only what differs between the sides: the run kind and scale clamp, the
-source, the initial window and the offset.
+drifting upward, and a scaled periodic profile drifting downward.  A verdict
+is a function of the ``LargeTimeReport`` it certifies, which supplies
+lambda* and c_hat.  Both sides run one body with a sign s = +1 (upper) or -1
+(lower), which verifies the defining inequality of the barrier (the scheme's
+upwind residual, ``kernels.Plan.residual``), its initial-time domination,
+and domination at every later snapshot; each margin is min s*(barrier - v).
+The public checks keep only what differs between the sides: the run kind and
+scale clamp, the source, the initial window and the offset.
 """
 
 from __future__ import annotations
@@ -29,13 +31,23 @@ from .grid import (
     GridFunction,
     grids_aligned,
     grids_equal,
+    interior_values,
     make_grid,
     restrict,
     sample,
 )
+from .kernels import Plan
 from .parabolic import DiagnosticsTrace, evolve
 from .problem import ProblemSpec
-from .scheme import SchemeConfig, residual_field
+from .scheme import RESIDUAL_SLACK, SchemeConfig
+
+#: time between snapshots, a multiple of ``parabolic.SAMPLE_INTERVAL`` so
+#: every snapshot is also a sample with a history row
+SNAPSHOT_INTERVAL = 1.0
+#: barrier domination margins pass at >= -DOMINATION_TOL
+DOMINATION_TOL = 1e-2
+#: the lower barrier's gamma = 1 + nu_R - lambda* may exceed 1 by this much
+GAMMA_TOL = 1e-2
 
 
 @dataclass
@@ -60,19 +72,22 @@ class LargeTimeReport:
     trace: DiagnosticsTrace | None = None  # the evolution's per-sample records
 
 
-def estimate_c_hat(v_t: GridFunction, phi: GridFunction, window_half_width=None):
+def estimate_c_hat(v_t: GridFunction, phi: GridFunction):
     """Window mean of v - phi, with the max-min flatness certificate.
 
-    Both fields must already live on the comparison window (or share a grid,
-    in which case the window restriction is applied here).
+    Both fields must already live on the comparison window.
     """
-    if window_half_width is not None:
-        v_t = restrict(v_t, window_half_width)
-        phi = restrict(phi, window_half_width)
     if not grids_equal(v_t.grid, phi.grid):
         raise ConfigError("fields must share the comparison window")
-    diff = v_t.values - phi.values
-    return float(np.mean(diff)), float(np.max(diff) - np.min(diff))
+    c, _, flat = _window_stats(v_t.values, phi.values)
+    return c, flat
+
+
+def _window_stats(v, phi):
+    """Mean c of v - phi, sup |v - phi - c| and the flatness max - min."""
+    diff = v - phi
+    c = float(np.mean(diff))
+    return c, float(np.max(np.abs(diff - c))), float(np.max(diff) - np.min(diff))
 
 
 def run_large_time(
@@ -86,8 +101,6 @@ def run_large_time(
     *,
     window_half_width: float = 2.0,
     tol: float = 0.05,
-    sample_interval: float = 0.25,
-    snapshot_interval: float = 1.0,
     initial: GridFunction | None = None,
     blow_up_cap: float = 1e3,
 ) -> LargeTimeReport:
@@ -113,8 +126,8 @@ def run_large_time(
     phi_k = GridFunction(phi_k.grid, phi_k.values - float(np.min(phi_k.values)))
 
     snap_times = [
-        round(k * snapshot_interval, 12)
-        for k in range(1, int(math.floor(T / snapshot_interval + 1e-9)) + 1)
+        round(k * SNAPSHOT_INTERVAL, 12)
+        for k in range(1, int(math.floor(T / SNAPSHOT_INTERVAL + 1e-9)) + 1)
     ]
     state = evolve(
         problem,
@@ -122,26 +135,16 @@ def run_large_time(
         T,
         scheme,
         initial=initial,
-        sample_interval=sample_interval,
         window_half_width=window_half_width,
         snapshot_times=snap_times,
         blow_up_cap=blow_up_cap,
     )
-    history = []
-    for t, mean_k in state.trace.window_means:
+    rows = []
+    for t, uk in state.trace.window_snapshots:
         if t <= 0:
             continue
-        slope_err = abs(mean_k / t - lambda_star)
-        history.append((t, slope_err))
-    rows = []
-    for (t, uk), (_, slope_err) in zip(
-        [(t, v) for t, v in state.trace.window_snapshots if t > 0], history
-    ):
-        v_k = uk - lambda_star * t
-        diff = v_k - phi_k.values
-        c_t = float(np.mean(diff))
-        sup_err = float(np.max(np.abs(diff - c_t)))
-        flat = float(np.max(diff) - np.min(diff))
+        slope_err = abs(float(np.mean(uk)) / t - lambda_star)
+        c_t, sup_err, flat = _window_stats(uk - lambda_star * t, phi_k.values)
         rows.append(LargeTimeHistoryRow(t, sup_err, slope_err, c_t, flat))
     if not rows:
         raise ConfigError("no samples recorded; horizon shorter than the interval")
@@ -168,11 +171,16 @@ def run_large_time(
 
 def pick_reference_time(report: LargeTimeReport, epsilon: float):
     """First snapshot time whose flatness certificate is below epsilon/2."""
+    return report.snapshots[_reference_index(report, epsilon)][0]
+
+
+def _reference_index(report: LargeTimeReport, epsilon: float) -> int:
+    """Index of that snapshot; a snapshot's history row is the one at its t."""
     flat_by_time = {round(r.t, 9): r.flatness for r in report.history}
-    for t, _ in report.snapshots:
+    for k, (t, _) in enumerate(report.snapshots):
         f = flat_by_time.get(round(t, 9))
         if f is not None and f < 0.5 * epsilon:
-            return t
+            return k
     raise ConfigError(
         f"no snapshot reached flatness below {0.5 * epsilon}; extend the horizon"
     )
@@ -198,15 +206,11 @@ class BarrierVerdict:
 def barrier_check_upper(
     phi_r_run: ErgodicApprox,
     phi: GridFunction,
-    lambda_star: float,
-    c_hat: float,
     epsilon: float,
     report: LargeTimeReport,
     problem: ProblemSpec,
     *,
     resolution_constant: float = 10.0,
-    slack: float = 2e-3,
-    domination_tol: float = 1e-2,
 ) -> BarrierVerdict:
     """Supersolution barrier: scaled profile + drift dominates the shifted flow.
 
@@ -216,14 +220,13 @@ def barrier_check_upper(
     snapshot.  The offset min(mu*phi_R - phi) is reported; it must tend to
     zero along the box ladder.
     """
-    t_ref = _reference_time(
+    k = _reference_snapshot(
         "upper", phi_r_run, "state_constraint", phi, epsilon, report
     )
     prof = phi_r_run.profile
     return _barrier_verdict(
-        "upper", phi_r_run, phi, lambda_star, c_hat, epsilon, t_ref, report,
-        problem.m, resolution_constant, slack, domination_tol,
-        scale=max(1.0 + phi_r_run.constant - lambda_star, 1.0),
+        "upper", phi_r_run, phi, epsilon, k, report, problem.m, resolution_constant,
+        scale=max(1.0 + phi_r_run.constant - report.lambda_star_used, 1.0),
         source=sample(problem.source, prof.grid).values,
         init_w=min(prof.grid.half_width, phi.grid.half_width),
         offset=lambda m_r: max(-m_r, 0.0),
@@ -233,16 +236,11 @@ def barrier_check_upper(
 def barrier_check_lower(
     psi_run: ErgodicApprox,
     phi: GridFunction,
-    lambda_star: float,
-    c_hat: float,
     epsilon: float,
     report: LargeTimeReport,
     problem: ProblemSpec,
     *,
     resolution_constant: float = 10.0,
-    slack: float = 2e-3,
-    domination_tol: float = 1e-2,
-    gamma_tol: float = 1e-2,
 ) -> BarrierVerdict:
     """Subsolution barrier from the periodic profile, mirroring the upper one.
 
@@ -253,9 +251,10 @@ def barrier_check_lower(
     periodic constant sitting above the ergodic constant signals inconsistent
     brackets); small overshoots clamp to 1.
     """
-    t_ref = _reference_time("lower", psi_run, "periodic", phi, epsilon, report)
+    k = _reference_snapshot("lower", psi_run, "periodic", phi, epsilon, report)
+    lambda_star = report.lambda_star_used
     gamma = 1.0 + psi_run.constant - lambda_star
-    if gamma > 1.0 + gamma_tol:
+    if gamma > 1.0 + GAMMA_TOL:
         raise ConfigError(
             f"periodic constant {psi_run.constant:.6g} exceeds the ergodic "
             f"constant {lambda_star:.6g} beyond tolerance; brackets inconsistent"
@@ -264,8 +263,7 @@ def barrier_check_lower(
     h = psi.grid.spacing
     cell_w = min(psi.grid.half_width - h, phi.grid.half_width)
     return _barrier_verdict(
-        "lower", psi_run, phi, lambda_star, c_hat, epsilon, t_ref, report,
-        problem.m, resolution_constant, slack, domination_tol,
+        "lower", psi_run, phi, epsilon, k, report, problem.m, resolution_constant,
         scale=min(gamma, 1.0),
         source=np.minimum(sample(problem.source, psi.grid).values, psi_run.cutoff),
         init_w=int(round(cell_w / h)) * h,
@@ -273,48 +271,54 @@ def barrier_check_lower(
     )
 
 
-def _reference_time(side, run, kind, phi, epsilon, report):
-    """Validate the inputs both barrier checks share, then pick t_ref."""
+def _reference_snapshot(side, run, kind, phi, epsilon, report):
+    """Validate the inputs both barrier checks share, then index t_ref."""
     if epsilon <= 0:
         raise ConfigError("barrier margin epsilon must be positive")
     if run.kind != kind:
         raise ConfigError(f"{side} barrier needs a {kind.replace('_', '-')} run")
-    t_ref = pick_reference_time(report, epsilon)
+    k = _reference_index(report, epsilon)
     if not grids_aligned(run.profile.grid, phi.grid):
         raise ConfigError("profile grids must share a spacing")
-    return t_ref
+    return k
 
 
 def _barrier_verdict(
-    side, run, phi, lambda_star, c_hat, epsilon, t_ref, report,
-    m, resolution_constant, slack, domination_tol,
+    side, run, phi, epsilon, k, report, m, resolution_constant,
     *, scale, source, init_w, offset,
 ) -> BarrierVerdict:
     """Checks (a)-(c) for either side, with s = +1 (upper) or -1 (lower).
 
     The barrier is scale*profile + c_hat + s*eps + offset + drift*(t - t_ref),
-    drift = scale*constant - lambda*.  ``restrict`` puts the profile on a box
-    window (wrapping on a torus), and (b) uses the window of half-width
-    ``init_w``.  ``offset`` maps the gap min s*(scale*profile - phi) on that
-    window to the lift.
+    drift = scale*constant - lambda*, with lambda* and c_hat read from the
+    report and t_ref the time of its snapshot k.  ``restrict`` puts the
+    profile on a box window (wrapping on a torus), and (b) uses the window of
+    half-width ``init_w``.  ``offset`` maps the gap min s*(scale*profile - phi)
+    on that window to the lift.
     Every margin is min s*(barrier - v), so it is nonnegative when the
     barrier lies on its side of v.  Products are taken before the difference
     (s*a - s*b) so that an exact tie yields +0.0 on both sides.
     """
     s = 1.0 if side == "upper" else -1.0
+    lambda_star, c_hat = report.lambda_star_used, report.c_hat
+    t_ref, v_ref = report.snapshots[k]
     prof = run.profile
     drift = scale * run.constant - lambda_star
     scaled = GridFunction(prof.grid, scale * prof.values)
 
-    # (a) the barrier residual against source - lambda* on the run's grid.
-    # Upwind stencil: the profile is the fixed point of the monotone scheme,
-    # so this is the inequality the discrete comparison argument actually
-    # uses (and where a capped source has a kink, central differences would
-    # lose an order)
-    res = residual_field(drift, scaled, source - lambda_star, m, "upwind")
-    res_extreme = s * float(np.min(s * res))
-    h = prof.grid.spacing
-    threshold = resolution_constant * h * h + slack
+    # (a) the barrier residual against source - lambda* on the run's grid
+    # (box interior).  Upwind stencil: the profile is the fixed point of the
+    # monotone scheme, so this is the inequality the discrete comparison
+    # argument actually uses (and where a capped source has a kink, central
+    # differences would lose an order)
+    g = prof.grid
+    h = g.spacing
+    inv_h = 1.0 / h
+    res, _ = Plan(g.shape, g.periodic).residual(
+        scaled.values, drift, source - lambda_star, m, inv_h, inv_h * inv_h
+    )
+    res_extreme = s * float(np.min(s * interior_values(g, res)))
+    threshold = resolution_constant * h * h + RESIDUAL_SLACK
     residual_ok = s * res_extreme >= -threshold
 
     def margin(barrier, v, w):
@@ -325,19 +329,17 @@ def _barrier_verdict(
     gap = margin(scaled_0, phi, init_w)
     lift = offset(gap)
     barrier_0 = scaled_0 + c_hat + s * epsilon + lift
-    init_margin = margin(barrier_0, _snapshot_at(report, t_ref), init_w)
-    initial_ok = init_margin >= -domination_tol
+    init_margin = margin(barrier_0, v_ref, init_w)
+    initial_ok = init_margin >= -DOMINATION_TOL
 
     # (c) the drifting barrier stays there on the window at every later snapshot
     w = report.window_half_width
     barrier_w = restrict(scaled, w).values + c_hat + s * epsilon + lift
     later_margin = math.inf
-    for t, v_snap in report.snapshots:
-        if t <= t_ref + 1e-9:
-            continue
+    for t, v_snap in report.snapshots[k + 1 :]:
         barrier_t = barrier_w + drift * (t - t_ref)
         later_margin = min(later_margin, margin(barrier_t, v_snap, w))
-    later_ok = later_margin >= -domination_tol
+    later_ok = later_margin >= -DOMINATION_TOL
     return BarrierVerdict(
         side=side,
         epsilon=epsilon,
@@ -354,9 +356,3 @@ def _barrier_verdict(
         passed=residual_ok and initial_ok and later_ok,
     )
 
-
-def _snapshot_at(report: LargeTimeReport, t):
-    for ts, v in report.snapshots:
-        if abs(ts - t) < 1e-9:
-            return v
-    raise ConfigError(f"no snapshot at t={t}")

@@ -38,13 +38,19 @@ from .grid import (
 from .kernels import Plan
 from .parabolic import default_window_half_width
 from .problem import ProblemSpec, torus_half_width
-from .scheme import residual_ergodic, residual_scaled_super
+from .scheme import RESIDUAL_SLACK, residual_ergodic, residual_scaled_super
 
 #: semismooth Newton on (phi, lambda): iteration cap, step halvings per line search
 NEWTON_MAX_ITER = 50
 NEWTON_HALVINGS = 30
 #: converged once sup |residual| <= NEWTON_RTOL * max(1, sup |f|)
 NEWTON_RTOL = 1e-10
+#: a periodic constant may exceed the smallest box constant by this much
+BRACKET_TOL = 1e-2
+#: mu = 1 + lambda_R - lambda* may fall below 1 by this much before clamping
+MU_TOL = 1e-2
+#: argmax confinement accepts f(x_R) <= 1 + lambda_1 + ARGMAX_TOL
+ARGMAX_TOL = 0.05
 
 
 @dataclass
@@ -211,7 +217,7 @@ def _finish_run(m, f, phi, constant, converged, stop_info, kind, cutoff=None):
     grid = f.grid
     vals = phi - phi[grid.origin_index]
     profile = GridFunction(grid, vals)
-    res = residual_ergodic(constant, profile, f, m, "central")
+    res = residual_ergodic(constant, profile, f, m)
     res_k = restrict(res, default_window_half_width(res.grid))
     return ErgodicApprox(
         kind=kind,
@@ -266,11 +272,7 @@ def solve_periodic(
     )
 
 
-def estimate_lambda_star(
-    state_runs,
-    periodic_runs=(),
-    bracket_tol: float = 1e-2,
-) -> ErgodicConstantEstimate:
+def estimate_lambda_star(state_runs, periodic_runs=()) -> ErgodicConstantEstimate:
     """Combine both routes into one bracketed estimate.
 
     Upper bracket: smallest state-constraint constant.  Lower bracket: the
@@ -288,10 +290,10 @@ def estimate_lambda_star(
     sources += [(r.kind, r.half_width, r.constant) for r in periodic_runs]
     if periodic_runs:
         lower_raw = max(r.constant for r in periodic_runs)
-        if lower_raw > upper + bracket_tol:
+        if lower_raw > upper + BRACKET_TOL:
             raise BracketInconsistencyError(
                 f"lower bracket {lower_raw:.6g} exceeds upper bracket "
-                f"{upper:.6g} beyond tolerance {bracket_tol}; refine the runs"
+                f"{upper:.6g} beyond tolerance {BRACKET_TOL}; refine the runs"
             )
         lower = min(lower_raw, upper)
         if lower_raw > upper:
@@ -345,19 +347,17 @@ def scaling_check_super(
     m: float,
     *,
     resolution_constant: float = 10.0,
-    slack: float = 2e-3,
-    mu_tol: float = 1e-2,
 ) -> ScalingCheckReport:
     """Supersolution scaling check with mu = 1 + lambda_R - lambda*.
 
     The scaled profile mu*phi_R must satisfy the supersolution inequality up
     to the scheme's consistency error plus a fixed slack:
-    residual >= -(C h^2 + slack).
+    residual >= -(C h^2 + RESIDUAL_SLACK).
     """
     if approx.kind != "state_constraint":
         raise ConfigError("supersolution scaling applies to state-constraint runs")
     mu = 1.0 + approx.constant - ergodic_constant
-    if mu < 1.0 - mu_tol:
+    if mu < 1.0 - MU_TOL:
         raise BracketInconsistencyError(
             f"lambda_R {approx.constant:.6g} fell below the ergodic constant "
             f"{ergodic_constant:.6g} beyond tolerance; brackets are inconsistent"
@@ -365,7 +365,7 @@ def scaling_check_super(
     mu = max(mu, 1.0)
     res = residual_scaled_super(mu, approx.constant, approx.profile, source, m)
     h = approx.profile.grid.spacing
-    thr = -(resolution_constant * h * h + slack)
+    thr = -(resolution_constant * h * h + RESIDUAL_SLACK)
     return ScalingCheckReport(mu=mu, residual=res, threshold=thr, passed=res >= thr)
 
 
@@ -385,14 +385,14 @@ def argmax_confinement(
     ergodic_constant: float,
     lambda_1: float,
     source: GridFunction,
-    tol: float = 0.05,
 ) -> ArgmaxReport:
     """Locate argmax(candidate - mu*phi_R) and test f there against 1 + lambda_1.
 
     Coercivity forces the maximizer into a fixed ball; the certificate is
-    f(x_R) <= 1 + lambda_1 + tol.  Ties within 1e-12 prefer the origin, then
-    the smallest lexicographic index.  A maximizer on the boundary ring is
-    flagged: the scaled profile should dominate near the wall.
+    f(x_R) <= 1 + lambda_1 + ARGMAX_TOL.  Ties within 1e-12 prefer the
+    origin, then the smallest lexicographic index.  A maximizer on the
+    boundary ring is flagged: the scaled profile should dominate near the
+    wall.
     """
     prof = approx.profile
     if not grids_equal(candidate.grid, prof.grid):
@@ -416,7 +416,7 @@ def argmax_confinement(
         i == 0 or i == n - 1 for i in node
     )
     f_at = float(source.values[node])
-    bound = 1.0 + lambda_1 + tol
+    bound = 1.0 + lambda_1 + ARGMAX_TOL
     return ArgmaxReport(
         node=node,
         point=point,

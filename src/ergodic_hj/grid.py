@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError, GridMismatchError
 
+#: relative tolerance of every spacing, width and node-alignment comparison
+REL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -80,12 +83,17 @@ def interior_grid(g: Grid) -> Grid:
     )
 
 
+def interior_values(g: Grid, values: np.ndarray) -> np.ndarray:
+    """The nodal array on ``interior_grid(g)`` for a box, whole for a torus."""
+    return values if g.periodic else values[(slice(1, -1),) * g.dim]
+
+
 def make_grid(kind: str, half_width: float, spacing: float, dim: int = 1) -> Grid:
     """Build a grid from a requested spacing; the actual spacing is rederived
     from the integer node count so node coordinates stay reproducible."""
     steps = 2.0 * half_width / spacing
     n_int = int(round(steps))
-    if abs(steps - n_int) > 1e-9 * max(1.0, steps):
+    if abs(steps - n_int) > REL_TOL * max(1.0, steps):
         raise ConfigError(
             f"spacing {spacing} does not divide the width {2 * half_width} evenly"
         )
@@ -147,7 +155,7 @@ def _aligned_steps(grid: Grid, window_half_width: float) -> int:
     h = grid.spacing
     steps = window_half_width / h
     k = int(round(steps))
-    if abs(steps - k) > 1e-9 * max(1.0, steps):
+    if abs(steps - k) > REL_TOL * max(1.0, steps):
         lo = np.floor(steps) * h
         hi = np.ceil(steps) * h
         raise AlignmentError(
@@ -194,13 +202,13 @@ def restrict(gf: GridFunction, window_half_width: float) -> GridFunction:
     return GridFunction(sub, vals)
 
 
-def grids_equal(a: Grid, b: Grid, tol=1e-9) -> bool:
+def grids_equal(a: Grid, b: Grid) -> bool:
     """Same discretization up to float rounding in the recorded half-width."""
     return (
         a.kind == b.kind
         and a.dim == b.dim
         and a.nodes_per_axis == b.nodes_per_axis
-        and abs(a.half_width - b.half_width) <= tol * max(1.0, abs(a.half_width))
+        and abs(a.half_width - b.half_width) <= REL_TOL * max(1.0, abs(a.half_width))
     )
 
 
@@ -211,9 +219,9 @@ def sup_norm_diff(a: GridFunction, b: GridFunction) -> float:
     return float(np.max(np.abs(a.values - b.values)))
 
 
-def grids_aligned(a: Grid, b: Grid, tol=1e-9) -> bool:
+def grids_aligned(a: Grid, b: Grid) -> bool:
     """True when the two grids share spacing and node placement (origin node)."""
-    return a.dim == b.dim and abs(a.spacing - b.spacing) <= tol * max(
+    return a.dim == b.dim and abs(a.spacing - b.spacing) <= REL_TOL * max(
         a.spacing, b.spacing
     )
 
@@ -276,16 +284,30 @@ def export_csv(gf: GridFunction, path, header_lines=()):
 
 
 def import_table(path):
-    """Read a two- or three-column CSV into table data for custom_table specs."""
+    """Read a two- or three-column CSV into table data for custom_table specs.
+
+    Skips ``#`` and blank lines, and the first other line if it is not
+    numeric (a header); any later line that is not numeric, or has another
+    number of cells than the first data row, is a ConfigError.
+    """
     rows = []
+    first = True
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
             try:
-                rows.append([float(c) for c in row])
+                vals = [float(c) for c in row]
             except ValueError:
-                continue  # header line
+                vals = None
+            if vals is not None and (not rows or len(vals) == len(rows[0])):
+                rows.append(vals)
+            elif vals is not None or not first:
+                raise ConfigError(
+                    f"{path} line {reader.line_num}: malformed row {','.join(row)}"
+                )
+            first = False
     if not rows:
         raise ConfigError(f"no numeric rows found in {path}")
     arr = np.asarray(rows, dtype=float)

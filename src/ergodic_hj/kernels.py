@@ -3,8 +3,8 @@
 A stencil plan (``Plan``) for one array shape, box or torus, holds the
 arithmetic.  The explicit step (boxes and tori, 1D and 2D), the
 zero-Dirichlet heat step and the stationary residual c - lap + H - rhs
-(``Plan.residual``, which Newton in ``ergodic`` and the barrier residual
-in ``scheme`` both evaluate) all run through it.  On the grids this
+(``Plan.residual``, which Newton in ``ergodic`` and the barrier checks in
+``asymptotics`` both evaluate) all run through it.  On the grids this
 package steps, a step costs per numpy call, not per node, so a plan does
 its Python-side set-up once: at construction it allocates its buffers (a
 copy of the input, or on a torus one ghost-padded copy per axis; lap, and
@@ -20,8 +20,8 @@ it, so a caller that keeps it copies it and none writes into it.
 The step and heat kernels run thousands of times per shape and share one
 cached plan per ``(shape, periodic)`` (``plan``), so the kernels are not
 thread-safe (the parallel ladder uses processes).  A Newton solve builds
-one plan for its iterations and ``scheme.residual_field`` one per call, so
-their buffers are freed with them.
+one plan for its iterations, and a barrier check or ``scheme.residual_field``
+one per call, so their buffers are freed with them.
 
 Every node evaluates the same expression tree: ((u+ - 2 u) + u-) * inv_h2
 per axis, a = max((u - u-) * inv_h, 0), b = max(-((u+ - u) * inv_h), 0),

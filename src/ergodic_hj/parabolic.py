@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BlowUpError, ConfigError
-from .grid import Grid, GridFunction, grids_equal, restrict, window_slices
+from .grid import Grid, GridFunction, grids_equal, restrict, sample, window_slices
 from .problem import ProblemSpec
 from .scheme import SchemeConfig, cfl_timestep
 
@@ -29,6 +29,10 @@ from .scheme import SchemeConfig, cfl_timestep
 REFRESH_STEPS = 100
 #: Hoelder quotients in the trace compare samples at most this far apart
 HOLDER_MAX_GAP = 1.0
+#: default time between two trace samples
+SAMPLE_INTERVAL = 0.25
+#: the trace's slope compares window means this far apart in time
+SLOPE_WINDOW = 1.0
 
 
 @dataclass
@@ -42,12 +46,12 @@ class TraceSample:
 
 @dataclass
 class DiagnosticsTrace:
-    """Per-sample records plus retained window snapshots for Hoelder quotients."""
+    """Per-sample records plus the retained window values at every sample
+    (and t = 0), from which slopes, Hoelder quotients and large-time
+    history rows are computed."""
 
     window_half_width: float
-    slope_window: float  # time lag used by the slope estimate
     samples: list = field(default_factory=list)
-    window_means: list = field(default_factory=list)  # (t, mean over K)
     window_snapshots: list = field(default_factory=list)  # (t, values on K)
 
     def append(self, sample: TraceSample):
@@ -92,8 +96,7 @@ def evolve(
     *,
     initial: GridFunction | None = None,
     source: GridFunction | None = None,
-    sample_interval: float = 0.25,
-    slope_window: float = 1.0,
+    sample_interval: float = SAMPLE_INTERVAL,
     window_half_width: float | None = None,
     blow_up_cap: float = 1e3,
     snapshot_times=(),
@@ -104,25 +107,22 @@ def evolve(
     land on sample and snapshot times are not recorded.  At each of
     ``snapshot_times`` a full-domain copy of u goes to ``snapshots``.
     """
-    from .grid import sample as sample_fn
-
     if T < 0:
         raise ConfigError("T must be nonnegative")
     config = config or SchemeConfig()
     if source is None:
-        source = sample_fn(problem.source, grid)
-    u0 = initial if initial is not None else sample_fn(problem.initial, grid)
+        source = sample(problem.source, grid)
+    u0 = initial if initial is not None else sample(problem.initial, grid)
     if not grids_equal(u0.grid, grid):
         raise ConfigError("initial data grid does not match the run grid")
     w = window_half_width or default_window_half_width(grid)
-    trace = DiagnosticsTrace(window_half_width=w, slope_window=slope_window)
+    trace = DiagnosticsTrace(window_half_width=w)
     ks = window_slices(grid, w)
     m = problem.m
     u = u0.values.copy()
     fvals = source.values
     t = 0.0
     out = np.empty_like(u)
-    trace.window_means.append((t, float(np.mean(u[ks]))))
     trace.window_snapshots.append((t, u[ks].copy()))
 
     h, periodic = grid.spacing, grid.periodic
@@ -173,15 +173,14 @@ def evolve(
             uk = u[ks].copy()
             mean_k = float(np.mean(uk))
             slope = float("nan")
-            for ts, ms in reversed(trace.window_means):
-                if abs((t - ts) - trace.slope_window) < 1e-9:
-                    slope = (mean_k - ms) / trace.slope_window
+            for ts, vs in reversed(trace.window_snapshots):
+                if abs((t - ts) - SLOPE_WINDOW) < 1e-9:
+                    slope = (mean_k - float(np.mean(vs))) / SLOPE_WINDOW
                     break
             hq = _holder_against_recent(uk, t, trace.window_snapshots, HOLDER_MAX_GAP)
             # the window is a sub-box even on a torus: its ends are not neighbours
             gwin = kernels.max_onesided_gradient(uk, inv_h, False)
             trace.append(TraceSample(t, slope, gwin, hq, dt_cfl))
-            trace.window_means.append((t, mean_k))
             trace.window_snapshots.append((t, uk))
             next_sample += sample_interval
         target = _next_target(next_sample, next_snap, T)

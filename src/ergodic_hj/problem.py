@@ -19,6 +19,12 @@ INITIAL_FAMILIES = ("zero", "quadratic_bowl", "bump", "custom_table")
 
 #: angles per radius when scanning non-grid directions in 2D
 DIRECTION_SAMPLES = 64
+#: radial step of the coercivity and torus-size scans
+SCAN_STEP = 0.01
+#: torus half-widths are rounded up to a multiple of this
+TORUS_ROUNDING = 0.25
+#: centered-difference step for the gradient of a tabulated source
+FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -191,7 +197,7 @@ def source_radial_values(spec: SourceSpec, radii):
     return np.asarray(v, float), np.asarray(v, float)
 
 
-def source_gradient_magnitude(spec: SourceSpec, radii, fd_step=1e-4):
+def source_gradient_magnitude(spec: SourceSpec, radii):
     """|Df| at each radius, maximized over sampled directions.
 
     Built-ins are radial so |Df| = |df/dr| in closed form; tables fall back
@@ -206,32 +212,23 @@ def source_gradient_magnitude(spec: SourceSpec, radii, fd_step=1e-4):
         term = a * radii ** (a - 1.0) * (2.0 + A * np.sin(radii))
         term = term + radii**a * (A * np.cos(radii))
         return np.abs(term)
-    # custom_table: centered differences along sampled directions
-    out = np.empty_like(radii)
+    # custom_table: centered differences along sampled directions (+-x in 1D)
     if len(spec.table) == 3:
         ang = np.linspace(0.0, 2.0 * np.pi, DIRECTION_SAMPLES, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        for i, r in enumerate(radii):
-            best = 0.0
-            for d in dirs:
-                try:
-                    fp = eval_source(spec, (r + fd_step) * d[0], (r + fd_step) * d[1])
-                    fm = eval_source(spec, (r - fd_step) * d[0], (r - fd_step) * d[1])
-                except TableRangeError:
-                    continue
-                best = max(best, abs(float(fp) - float(fm)) / (2 * fd_step))
-            out[i] = best
     else:
-        for i, r in enumerate(radii):
-            best = 0.0
-            for s in (1.0, -1.0):
-                try:
-                    fp = eval_source(spec, s * (r + fd_step))
-                    fm = eval_source(spec, s * (r - fd_step))
-                except TableRangeError:
-                    continue
-                best = max(best, abs(float(fp) - float(fm)) / (2 * fd_step))
-            out[i] = best
+        dirs = np.array([[1.0], [-1.0]])
+    out = np.empty_like(radii)
+    for i, r in enumerate(radii):
+        best = 0.0
+        for d in dirs:
+            try:
+                fp = eval_source(spec, *((r + FD_STEP) * d))
+                fm = eval_source(spec, *((r - FD_STEP) * d))
+            except TableRangeError:
+                continue
+            best = max(best, abs(float(fp) - float(fm)) / (2 * FD_STEP))
+        out[i] = best
     return out
 
 
@@ -240,7 +237,7 @@ def source_gradient_magnitude(spec: SourceSpec, radii, fd_step=1e-4):
 # ---------------------------------------------------------------------------
 
 
-def _scan_radii(spec: SourceSpec, r_max, step=0.01, must_reach=0.0):
+def _scan_radii(spec: SourceSpec, r_max, must_reach=0.0):
     """Scan grid and a horizon beyond which f provably exceeds everything seen.
 
     For the power families f >= (coef)*r^alpha with coef = 1 (power, shifted)
@@ -250,17 +247,17 @@ def _scan_radii(spec: SourceSpec, r_max, step=0.01, must_reach=0.0):
     """
     if spec.family == "custom_table":
         hi = _max_table_radius(spec)
-        return np.arange(0.0, hi + step / 2, step), True
+        return np.arange(0.0, hi + SCAN_STEP / 2, SCAN_STEP), True
     coef = 2.0 - spec.osc_amp if spec.family == "power_oscillating" else 1.0
     # values seen up to r_max are at most (2+amp)*r_max^alpha + shift
     seen_cap = (2.0 + spec.osc_amp) * max(r_max, 1.0) ** spec.alpha + spec.shift + 1.0
     target = max(seen_cap, must_reach)
     horizon = (target / coef) ** (1.0 / spec.alpha) + 1.0
     horizon = max(horizon, r_max + 1.0)
-    return np.arange(0.0, horizon + step / 2, step), False
+    return np.arange(0.0, horizon + SCAN_STEP / 2, SCAN_STEP), False
 
 
-def coercivity_envelope(spec: SourceSpec, radii, step=0.01):
+def coercivity_envelope(spec: SourceSpec, radii):
     """phi(r) = inf of f outside radius r, by direction-and-radius sampling.
 
     Nondecreasing in r for any genuine source; a stagnating tail on a
@@ -271,7 +268,7 @@ def coercivity_envelope(spec: SourceSpec, radii, step=0.01):
         return np.empty(0)
     if np.any(np.diff(radii) < 0) or np.any(radii < 0):
         raise ConfigError("radii must be nondecreasing and nonnegative")
-    scan, truncated = _scan_radii(spec, float(radii[-1]), step=step)
+    scan, _ = _scan_radii(spec, float(radii[-1]))
     lo, _ = source_radial_values(spec, scan)
     # suffix minimum over the scan gives inf beyond each scan point
     suffix = np.minimum.accumulate(lo[::-1])[::-1]
@@ -324,12 +321,12 @@ def check_h2_ratio(spec: SourceSpec, m: float, radii):
     return out
 
 
-def h2_certificate(spec: SourceSpec, m: float, radii=None, fd_step=1e-4):
+def h2_certificate(spec: SourceSpec, m: float, radii=None):
     """H2 plausibility: the ratio tail stays within 2x the sequence median."""
     if radii is None:
         if spec.family == "custom_table":
-            hi = 0.95 * _max_table_radius(spec) - fd_step
-            radii = np.geomspace(max(hi / 50.0, 10 * fd_step), hi, 25)
+            hi = 0.95 * _max_table_radius(spec) - FD_STEP
+            radii = np.geomspace(max(hi / 50.0, 10 * FD_STEP), hi, 25)
         else:
             radii = np.geomspace(1.0, 1000.0, 25)
     ratios = check_h2_ratio(spec, m, radii)
@@ -353,15 +350,15 @@ def h2_certificate(spec: SourceSpec, m: float, radii=None, fd_step=1e-4):
     }
 
 
-def torus_half_width(spec: SourceSpec, cutoff: float, step=0.01, rounding=0.25):
+def torus_half_width(spec: SourceSpec, cutoff: float):
     """Smallest grid-friendly S with f >= cutoff everywhere outside radius S.
 
-    Rounded up to a multiple of ``rounding`` so torus cells divide evenly
-    into the standard spacings.
+    Rounded up to a multiple of ``TORUS_ROUNDING`` so torus cells divide
+    evenly into the standard spacings.
     """
     if cutoff <= 0:
         raise ConfigError("cutoff must be positive")
-    scan, truncated = _scan_radii(spec, 1.0, step=step, must_reach=2.0 * cutoff)
+    scan, truncated = _scan_radii(spec, 1.0, must_reach=2.0 * cutoff)
     lo, _ = source_radial_values(spec, scan)
     suffix = np.minimum.accumulate(lo[::-1])[::-1]
     hits = np.nonzero(suffix >= cutoff)[0]
@@ -371,8 +368,8 @@ def torus_half_width(spec: SourceSpec, cutoff: float, step=0.01, rounding=0.25):
             + (" (table truncated)" if truncated else "")
         )
     s_raw = float(scan[hits[0]])
-    k = int(np.ceil(s_raw / rounding - 1e-9))
-    return max(k * rounding, rounding)
+    k = int(np.ceil(s_raw / TORUS_ROUNDING - 1e-9))
+    return max(k * TORUS_ROUNDING, TORUS_ROUNDING)
 
 
 def eval_initial(spec: InitialSpec, x, y=None):

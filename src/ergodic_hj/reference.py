@@ -26,6 +26,14 @@ from . import kernels
 from .errors import ConfigError, StagnationError
 from .grid import GridFunction, grids_equal, interior_grid
 
+#: inverse power iteration: stop at residual <= EIGEN_TOL max(1, |lambda|)
+EIGEN_TOL = 1e-8
+EIGEN_MAX_ITER = 500
+#: the heat step's dt as a share of its stability bound
+HEAT_SAFETY = 0.9
+#: w is rescaled by a power of two once max w drops below this
+RESCALE_THRESHOLD = 2.0**-40
+
 
 @dataclass(frozen=True)
 class OracleSolution:
@@ -59,17 +67,15 @@ def manufactured(m: float, dim: int) -> OracleSolution:
     return OracleSolution(float(dim), phi, source, "manufactured", m, dim)
 
 
-def manufactured_oscillatory(
-    m: float, dim: int, amplitude: float = 0.1, wavenumber: float = 2.0
-) -> OracleSolution:
+def manufactured_oscillatory(m: float, dim: int) -> OracleSolution:
     """Transcendental manufactured pair for truncation-order studies.
 
     The quadratic family differentiates exactly under central stencils, so
     its residual carries no h signal; this bowl-plus-cosine profile does.
     The source is defined as whatever makes the pair exact:
-    f := N - lap(phi) + |D phi|^m.
+    f := N - lap(phi) + |D phi|^m, with phi = |x|^2/2 + a sum_i cos(k x_i).
     """
-    a, k = amplitude, wavenumber
+    a, k = 0.1, 2.0
     lam = float(dim)
 
     if dim == 1:
@@ -128,9 +134,7 @@ def _dirichlet_operator(f: GridFunction):
     return A.tocsc()
 
 
-def hopf_cole_eigenvalue(
-    f: GridFunction, tol: float = 1e-8, max_iter: int = 500
-):
+def hopf_cole_eigenvalue(f: GridFunction):
     """Principal eigenvalue of -lap + f by shifted inverse power iteration.
 
     Valid as an ergodic-constant oracle only for m = 2.  The zero-Dirichlet
@@ -145,27 +149,21 @@ def hopf_cole_eigenvalue(
     solve = spla.splu((A - sigma * sp.identity(n, format="csc")).tocsc()).solve
     x = np.full(n, 1.0 / math.sqrt(n))
     lam = float(x @ (A @ x))
-    for it in range(1, max_iter + 1):
+    for it in range(1, EIGEN_MAX_ITER + 1):
         x = solve(x)
         x = x / np.linalg.norm(x)
         Ax = A @ x
         lam = float(x @ Ax)
         res = float(np.max(np.abs(Ax - lam * x)))
-        if res <= tol * max(1.0, abs(lam)):
+        if res <= EIGEN_TOL * max(1.0, abs(lam)):
             return lam, {"residual": res, "iterations": it}
     raise StagnationError(
-        f"inverse power iteration stalled after {max_iter} iterations "
-        f"(residual {res:.3e}, target {tol:.1e})"
+        f"inverse power iteration stalled after {EIGEN_MAX_ITER} iterations "
+        f"(residual {res:.3e}, target {EIGEN_TOL:.1e})"
     )
 
 
-def hopf_cole_parabolic(
-    f: GridFunction,
-    u0: GridFunction,
-    times,
-    safety: float = 0.9,
-    rescale_threshold: float = 2.0**-40,
-):
+def hopf_cole_parabolic(f: GridFunction, u0: GridFunction, times):
     """Integrate w_t = lap(w) - f w with w0 = exp(-u0); return u = -log w at
     each of the sorted ``times``, all from one integration.
 
@@ -173,7 +171,8 @@ def hopf_cole_parabolic(
     rescaled by a power of two and the exact log shift is carried along;
     power-of-two scaling commutes bit-exactly with the linear update, so the
     rescaled trajectory reproduces the unrescaled one.  The last step before
-    each requested time is shortened to land on it.
+    each requested time is shortened to land on it.  Times must be
+    nonnegative.
 
     The zero-Dirichlet closure makes -log w infinite on the boundary ring, so
     each field is returned on the grid shrunk by one node per side.
@@ -186,17 +185,15 @@ def hopf_cole_parabolic(
     times = [float(T) for T in times]
     if times != sorted(times):
         raise ConfigError(f"output times must be sorted, got {times}")
+    if times and times[0] < 0.0:
+        raise ConfigError(f"output times must be nonnegative, got {times}")
     h = g.spacing
-    w = np.exp(-u0.values)
-    if g.dim == 1:  # Dirichlet ring
-        w[0] = w[-1] = 0.0
-    else:
-        w[0, :] = w[-1, :] = 0.0
-        w[:, 0] = w[:, -1] = 0.0
+    interior = (slice(1, -1),) * g.dim
+    w = np.zeros(g.shape)  # the Dirichlet ring stays zero
+    w[interior] = np.exp(-u0.values[interior])
     out = np.empty_like(w)
     fmax = float(np.max(f.values))
-    dt_stable = safety / (2.0 * g.dim / (h * h) + fmax)
-    interior = (slice(1, -1),) * g.dim
+    dt_stable = HEAT_SAFETY / (2.0 * g.dim / (h * h) + fmax)
     sub = interior_grid(g)
     t = 0.0
     shift_exp = 0  # integer power-of-two exponent, exact bookkeeping
@@ -213,7 +210,7 @@ def hopf_cole_parabolic(
                     "transformed field collapsed to zero; horizon too long for "
                     "the chosen box"
                 )
-            if wmax < rescale_threshold:
+            if wmax < RESCALE_THRESHOLD:
                 k = int(math.floor(math.log2(wmax)))
                 w *= 2.0 ** (-k)  # exact: power-of-two scaling
                 shift_exp += k

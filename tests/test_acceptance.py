@@ -245,8 +245,6 @@ def test_criterion_06_barrier_suite(
         v = barrier_check_upper(
             run,
             phi_ref,
-            estimate_1d.value,
-            rep.c_hat,
             0.1,
             rep,
             osc1d,
@@ -263,8 +261,6 @@ def test_criterion_06_barrier_suite(
         v = barrier_check_lower(
             run,
             phi_ref,
-            estimate_1d.value,
-            rep.c_hat,
             0.1,
             rep,
             osc1d,
@@ -396,7 +392,6 @@ def test_criterion_08_scheme_property_tests():
             e.sample(oracle.phi, gg),
             e.sample(oracle.source, gg),
             1.5,
-            "central",
         )
         sups.append(float(np.max(np.abs(res.values))))
     slope = float(np.polyfit(np.log(spacings), np.log(sups), 1)[0])
@@ -451,7 +446,7 @@ def test_criterion_09_regularity_diagnostics(osc1d, ladder_1d, longtime_osc):
     ]
     from ergodic_hj.parabolic import DiagnosticsTrace
 
-    coarse = DiagnosticsTrace(window_half_width=2.0, slope_window=1.0)
+    coarse = DiagnosticsTrace(window_half_width=2.0)
     coarse.window_snapshots = thinned
     q_coarse = e.holder_quotient(coarse, tau=1.0, max_gap=1.0)
     change = abs(q_fine - q_coarse) / q_coarse

@@ -70,6 +70,20 @@ def test_estimate_c_hat_with_noise():
     assert flat <= 2 * eps
 
 
+def test_history_rows_are_estimate_c_hat_of_the_stored_windows(osc_report):
+    # c(t) and the flatness of each row are estimate_c_hat of that sample's
+    # window, shifted by lambda* t, against the renormalized profile
+    _, phi_ref, report = osc_report
+    phi_k = restrict(phi_ref, report.window_half_width)
+    phi_k = GridFunction(phi_k.grid, phi_k.values - float(np.min(phi_k.values)))
+    windows = [(t, uk) for t, uk in report.trace.window_snapshots if t > 0]
+    assert len(windows) == len(report.history)
+    for row, (t, uk) in zip(report.history, windows):
+        v_k = GridFunction(phi_k.grid, uk - report.lambda_star_used * t)
+        assert row.t == t
+        assert (row.c_of_t, row.flatness) == estimate_c_hat(v_k, phi_k)
+
+
 def test_large_time_converges_from_zero(osc_report):
     _, _, report = osc_report
     assert report.converged
@@ -155,20 +169,16 @@ def test_zero_horizon_rejected(oscillator, osc_runs):
 
 def test_barrier_epsilon_must_be_positive(oscillator, osc_runs, osc_report):
     runs, per = osc_runs
-    est, phi_ref, report = osc_report
+    _, phi_ref, report = osc_report
     with pytest.raises(ConfigError):
-        barrier_check_upper(
-            runs[0], phi_ref, est.value, report.c_hat, 0.0, report, oscillator
-        )
+        barrier_check_upper(runs[0], phi_ref, 0.0, report, oscillator)
 
 
 def test_upper_barrier_oscillator(oscillator, osc_runs, osc_report):
     runs, _ = osc_runs
-    est, phi_ref, report = osc_report
+    _, phi_ref, report = osc_report
     for run in runs:
-        v = barrier_check_upper(
-            run, phi_ref, est.value, report.c_hat, 0.1, report, oscillator
-        )
+        v = barrier_check_upper(run, phi_ref, 0.1, report, oscillator)
         assert v.passed, vars(v)
         assert v.mu_or_gamma >= 1.0
         # domination margins carry most of the epsilon cushion
@@ -178,25 +188,19 @@ def test_upper_barrier_oscillator(oscillator, osc_runs, osc_report):
 
 def test_lower_barrier_oscillator(oscillator, osc_runs, osc_report):
     _, per = osc_runs
-    est, phi_ref, report = osc_report
-    v = barrier_check_lower(
-        per, phi_ref, est.value, report.c_hat, 0.1, report, oscillator
-    )
+    _, phi_ref, report = osc_report
+    v = barrier_check_lower(per, phi_ref, 0.1, report, oscillator)
     assert v.passed, vars(v)
     assert v.mu_or_gamma <= 1.0
 
 
 def test_barrier_kind_mismatch_rejected(oscillator, osc_runs, osc_report):
     runs, per = osc_runs
-    est, phi_ref, report = osc_report
+    _, phi_ref, report = osc_report
     with pytest.raises(ConfigError):
-        barrier_check_upper(
-            per, phi_ref, est.value, report.c_hat, 0.1, report, oscillator
-        )
+        barrier_check_upper(per, phi_ref, 0.1, report, oscillator)
     with pytest.raises(ConfigError):
-        barrier_check_lower(
-            runs[0], phi_ref, est.value, report.c_hat, 0.1, report, oscillator
-        )
+        barrier_check_lower(runs[0], phi_ref, 0.1, report, oscillator)
 
 
 def test_reference_time_needs_flatness(oscillator, osc_report):
@@ -211,14 +215,10 @@ def test_sandwich_between_barriers(oscillator, osc_runs, osc_report):
     # once both barriers pass at (t_ref, eps), later snapshots sit inside
     # [phi + c - eps - tol, phi + c + eps + tol] on the window
     runs, per = osc_runs
-    est, phi_ref, report = osc_report
+    _, phi_ref, report = osc_report
     eps, tol = 0.1, 1e-2
-    up = barrier_check_upper(
-        runs[-1], phi_ref, est.value, report.c_hat, eps, report, oscillator
-    )
-    lo = barrier_check_lower(
-        per, phi_ref, est.value, report.c_hat, eps, report, oscillator
-    )
+    up = barrier_check_upper(runs[-1], phi_ref, eps, report, oscillator)
+    lo = barrier_check_lower(per, phi_ref, eps, report, oscillator)
     assert up.passed and lo.passed
     phi_k = restrict(phi_ref, report.window_half_width)
     phi_k_vals = phi_k.values - float(np.min(phi_k.values))
@@ -233,8 +233,8 @@ def test_sandwich_between_barriers(oscillator, osc_runs, osc_report):
 
 @pytest.mark.parametrize("shift", [0.0, -2.0])
 def test_barrier_margins_carry_their_sign(shift):
-    # zero profiles and dyadic data make every margin exact.  lambda* = 1,
-    # c_hat = 1/2, eps = 1/4, phi = 1/8 everywhere:
+    # zero profiles and dyadic data make every margin exact.  lambda* = 1 and
+    # c_hat = 1/2 (read from the report), eps = 1/4, phi = 1/8 everywhere:
     #   upper: mu = 5/4, drift = mu^2 - 1 = 9/16, offset max(-m_R, 0) = 1/8,
     #          barrier(t) = 7/8 + 9/16 (t - 1)
     #   lower: gamma = 3/4, drift = gamma^2 - 1 = -7/16, offset tilde_m = 1/8,
@@ -272,7 +272,7 @@ def test_barrier_margins_carry_their_sign(shift):
         final_flatness=0.0,
         snapshots=[(t, GridFunction(run_grid, v + shift)) for t, v in fields.items()],
     )
-    args = (phi, 1.0, 0.5, 0.25, report, problem)
+    args = (phi, 0.25, report, problem)
     up = barrier_check_upper(upper_run, *args)
     lo = barrier_check_lower(lower_run, *args)
     bound = 10.0 * 0.25 * 0.25 + 2e-3

@@ -387,6 +387,39 @@ def test_table_source_that_cannot_serve_the_run_exits_two(
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def test_validate_table_source_uses_the_table_aware_radii(tmp_path):
+    # without validate.radii the coercivity scan must stay inside the table
+    cfg = _table_config(tmp_path, "  ladder: [2.0]\n  spacing: 0.1\n")
+    out = tmp_path / "val"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    assert "coercivity_plausible: True" in (out / "summary.txt").read_text()
+
+
+def test_malformed_table_row_is_config_error(tmp_path, capsys):
+    # the x = 0 row of the 61-row table, written with numpy reprs, is line 31
+    cfg = _table_config(tmp_path, "  ladder: [2.0]\n  spacing: 0.1\n")
+    table = tmp_path / "square.csv"
+    lines = table.read_text().splitlines(keepends=True)
+    assert lines[30] == "0.0,0.0\n"
+    lines[30] = "np.float64(0.0),np.float64(0.0)\n"
+    table.write_text("".join(lines))
+    code = main(["ergodic", "--config", cfg, "--out", str(tmp_path / "erg")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "line 31" in err
+    assert err.count("\n") == 1
+
+
+def test_oracle_horizon_below_one_is_config_error(tmp_path, capsys):
+    # the transform slope compares the fields at horizon - 1 and horizon
+    cfg = _quick_variant(tmp_path, ("horizon: 3.0", "horizon: 0.5"))
+    code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "oracle.horizon" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_csv_cells_are_plain_floats(quick_cfg, tmp_path):
     out = tmp_path / "val"
     assert main(["validate", "--config", quick_cfg, "--out", str(out)]) == 0

@@ -98,7 +98,7 @@ def test_periodic_flat_source_gives_flat_profile():
     g = make_grid("torus", 2.0, 0.25, 1)
     c = 5.0
     flat = GridFunction(g, np.full(g.shape, c))
-    st = evolve(p, g, 3.0, source=flat, slope_window=1.0)
+    st = evolve(p, g, 3.0, source=flat)
     slopes = [s.slope for s in st.trace.samples if not math.isnan(s.slope)]
     assert slopes[-1] == pytest.approx(c, abs=1e-12)
     profile = st.u.values - c * st.t

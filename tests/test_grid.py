@@ -225,3 +225,19 @@ def test_window_slices_respects_bounds():
     g = make_grid("box", 2.0, 0.5, 1)
     with pytest.raises(AlignmentError):
         window_slices(g, 3.0)
+
+
+def test_import_table_skips_one_header_and_refuses_other_bad_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# note\nx,value\n0.0,1.0\n\n1.0,2.0\n")
+    xs, vals = import_table(path)
+    assert xs.tolist() == [0.0, 1.0] and vals.tolist() == [1.0, 2.0]
+    path.write_text("x,value\nx,value\n0.0,1.0\n")
+    with pytest.raises(ConfigError, match="line 2"):
+        import_table(path)
+    path.write_text("0.0,1.0\nnan?,2.0\n")
+    with pytest.raises(ConfigError, match="line 2"):
+        import_table(path)
+    path.write_text("x,value\n0.0,1.0\n1.0,2.0,3.0\n")
+    with pytest.raises(ConfigError, match="line 3"):
+        import_table(path)

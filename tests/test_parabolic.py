@@ -191,7 +191,7 @@ def test_blow_up_guard_fires():
 def test_holder_quotient_stationary_drift():
     # for u = phi + c*t the quotient is c*sqrt(gap), maximized at gap 1
     g = make_grid("box", 4.0, 0.25, 1)
-    trace = DiagnosticsTrace(window_half_width=2.0, slope_window=1.0)
+    trace = DiagnosticsTrace(window_half_width=2.0)
     c = 1.7
     base = np.zeros(17)
     for k in range(9):
@@ -202,14 +202,14 @@ def test_holder_quotient_stationary_drift():
 
 
 def test_holder_quotient_constant_is_zero():
-    trace = DiagnosticsTrace(window_half_width=2.0, slope_window=1.0)
+    trace = DiagnosticsTrace(window_half_width=2.0)
     for k in range(5):
         trace.window_snapshots.append((0.5 * k, np.full(9, 2.0)))
     assert holder_quotient(trace, tau=0.0) == 0.0
 
 
 def test_holder_quotient_needs_two_samples():
-    trace = DiagnosticsTrace(window_half_width=2.0, slope_window=1.0)
+    trace = DiagnosticsTrace(window_half_width=2.0)
     trace.window_snapshots.append((0.5, np.zeros(5)))
     with pytest.raises(ConfigError):
         holder_quotient(trace, tau=0.0)

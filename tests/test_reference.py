@@ -30,7 +30,7 @@ def test_manufactured_substitution(m, dim):
     g = make_grid("box", 3.0, 0.25, dim)
     phi = sample(oracle.phi, g)
     f = sample(oracle.source, g)
-    res = residual_ergodic(oracle.lambda_exact, phi, f, m, "central")
+    res = residual_ergodic(oracle.lambda_exact, phi, f, m)
     assert float(np.max(np.abs(res.values))) < 1e-10
 
 
@@ -51,7 +51,6 @@ def test_oscillatory_pair_substitution_converges():
             sample(oracle.phi, g),
             sample(oracle.source, g),
             1.7,
-            "central",
         )
         sups.append(float(np.max(np.abs(res.values))))
     assert sups[1] < sups[0] / 3.0  # second order: about a quarter
@@ -145,6 +144,16 @@ def test_parabolic_transform_fields_come_from_one_integration():
     assert not np.array_equal(u1.values, u2.values)
     with pytest.raises(ConfigError):
         hopf_cole_parabolic(f, u0, [2.0, 1.0])
+
+
+def test_parabolic_transform_refuses_negative_times():
+    # no field exists before t = 0; returning u0 under a negative label
+    # would fake a slope
+    g = make_grid("box", 4.0, 0.125, 1)
+    f = sample(SourceSpec("power", alpha=2.0), g)
+    u0 = sample(InitialSpec("zero"), g)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        hopf_cole_parabolic(f, u0, [-0.5, 0.5])
 
 
 def test_rescaling_reproduces_unrescaled_run_bitwise():

@@ -104,7 +104,7 @@ def test_residual_of_quadratic_pair_is_exact(m, dim):
     g = make_grid("box", 4.0, 0.125, dim)
     phi = sample(oracle.phi, g)
     f = sample(oracle.source, g)
-    res = residual_ergodic(oracle.lambda_exact, phi, f, m, "central")
+    res = residual_ergodic(oracle.lambda_exact, phi, f, m)
     assert float(np.max(np.abs(res.values))) < 1e-9
 
 
@@ -128,7 +128,7 @@ def test_residual_refinement_is_second_order():
         g = make_grid("box", 3.0, h, 1)
         phi = sample(oracle.phi, g)
         f = sample(oracle.source, g)
-        res = residual_ergodic(oracle.lambda_exact, phi, f, 1.5, "central")
+        res = residual_ergodic(oracle.lambda_exact, phi, f, 1.5)
         sups.append(float(np.max(np.abs(res.values))))
     slope = np.polyfit(np.log(spacings), np.log(sups), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.2)
