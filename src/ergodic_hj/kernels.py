@@ -2,7 +2,8 @@
 
 A stencil plan (``Plan``) for one array shape, box or torus, holds the
 arithmetic.  The explicit step (boxes and tori, 1D and 2D), the
-zero-Dirichlet heat step and the stationary residual c - lap + H - rhs
+zero-Dirichlet heat step (which marches the 2D Hopf-Cole oracle field; the
+1D field needs no steps) and the stationary residual c - lap + H - rhs
 (``Plan.residual``, which Newton in ``ergodic`` and the barrier checks in
 ``asymptotics`` both evaluate) all run through it.  On the grids this
 package steps, a step costs per numpy call, not per node, so a plan does
@@ -275,7 +276,8 @@ def vhj_step(u, f, dt, h, m, periodic, out=None):
 def heat_step(w, pot, dt, h, out=None):
     """One explicit update of w_t = lap(w) - pot*w with zero-Dirichlet closure.
 
-    ``out`` is allocated when not supplied and may be ``w`` itself."""
+    The 2D Hopf-Cole oracle's march takes these steps.  ``out`` is allocated
+    when not supplied and may be ``w`` itself."""
     if w.ndim not in (1, 2):
         raise ValueError(f"unsupported dimension: {w.ndim}")
     if out is None:

@@ -141,49 +141,55 @@ def evolve(
     next_sample = sample_interval
     target = _next_target(next_sample, next_snap, T)
     countdown = REFRESH_STEPS  # steps left until the CFL step is refreshed
-    while t < T - eps:
-        dt = min(dt_cfl, target - t)
-        kernels.vhj_step(u, fvals, dt, h, m, periodic, out)
-        u, out = out, u
-        t += dt
-        countdown -= 1
-        if not countdown:
-            countdown = REFRESH_STEPS
-            grad = kernels.max_onesided_gradient(u, inv_h, periodic)
-            if not math.isfinite(grad) and not np.all(np.isfinite(u)):
-                _raise_nonfinite(u, t, grid)
-            if not math.isfinite(grad) or grad > blow_up_cap:
-                raise BlowUpError(
-                    f"gradient guard fired at t={t:.6g}: measured {grad:.4g} "
-                    f"exceeds the cap {blow_up_cap:.4g}",
-                    t=t,
-                    max_gradient=grad,
+    # a blow-up overflows to inf and nan; the finiteness checks report it in
+    # one BlowUpError, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < T - eps:
+            dt = min(dt_cfl, target - t)
+            kernels.vhj_step(u, fvals, dt, h, m, periodic, out)
+            u, out = out, u
+            t += dt
+            countdown -= 1
+            if not countdown:
+                countdown = REFRESH_STEPS
+                grad = kernels.max_onesided_gradient(u, inv_h, periodic)
+                if not math.isfinite(grad) and not np.all(np.isfinite(u)):
+                    _raise_nonfinite(u, t, grid)
+                if not math.isfinite(grad) or grad > blow_up_cap:
+                    raise BlowUpError(
+                        f"gradient guard fired at t={t:.6g}: measured {grad:.4g} "
+                        f"exceeds the cap {blow_up_cap:.4g}",
+                        t=t,
+                        max_gradient=grad,
+                    )
+                dt_cfl = cfl_timestep(grid, config, m, grad)
+            if t < target - eps:
+                continue
+            if next_snap is not None and t >= next_snap - eps:
+                if not np.all(np.isfinite(u)):
+                    _raise_nonfinite(u, t, grid)
+                snapshots.append((t, GridFunction(grid, u.copy())))
+                next_snap = next(snap_iter, None)
+            if t >= next_sample - eps:
+                if not np.all(np.isfinite(u)):
+                    _raise_nonfinite(u, t, grid)
+                uk = u[ks].copy()
+                mean_k = float(np.mean(uk))
+                slope = float("nan")
+                for ts, vs in reversed(trace.window_snapshots):
+                    if abs((t - ts) - SLOPE_WINDOW) < 1e-9:
+                        slope = (mean_k - float(np.mean(vs))) / SLOPE_WINDOW
+                        break
+                hq = _holder_against_recent(
+                    uk, t, trace.window_snapshots, HOLDER_MAX_GAP
                 )
-            dt_cfl = cfl_timestep(grid, config, m, grad)
-        if t < target - eps:
-            continue
-        if next_snap is not None and t >= next_snap - eps:
-            if not np.all(np.isfinite(u)):
-                _raise_nonfinite(u, t, grid)
-            snapshots.append((t, GridFunction(grid, u.copy())))
-            next_snap = next(snap_iter, None)
-        if t >= next_sample - eps:
-            if not np.all(np.isfinite(u)):
-                _raise_nonfinite(u, t, grid)
-            uk = u[ks].copy()
-            mean_k = float(np.mean(uk))
-            slope = float("nan")
-            for ts, vs in reversed(trace.window_snapshots):
-                if abs((t - ts) - SLOPE_WINDOW) < 1e-9:
-                    slope = (mean_k - float(np.mean(vs))) / SLOPE_WINDOW
-                    break
-            hq = _holder_against_recent(uk, t, trace.window_snapshots, HOLDER_MAX_GAP)
-            # the window is a sub-box even on a torus: its ends are not neighbours
-            gwin = kernels.max_onesided_gradient(uk, inv_h, False)
-            trace.append(TraceSample(t, slope, gwin, hq, dt_cfl))
-            trace.window_snapshots.append((t, uk))
-            next_sample += sample_interval
-        target = _next_target(next_sample, next_snap, T)
+                # the window is a sub-box even on a torus: its ends are not
+                # neighbours
+                gwin = kernels.max_onesided_gradient(uk, inv_h, False)
+                trace.append(TraceSample(t, slope, gwin, hq, dt_cfl))
+                trace.window_snapshots.append((t, uk))
+                next_sample += sample_interval
+            target = _next_target(next_sample, next_snap, T)
 
     if not np.all(np.isfinite(u)):
         _raise_nonfinite(u, t, grid)

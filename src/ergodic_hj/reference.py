@@ -7,7 +7,10 @@ Two routes exist:
   f = |x|^m by direct substitution (lap(phi) = N and |D phi|^m = |x|^m);
 * the m = 2 logarithmic transform u = -log w, which maps the equation to the
   linear problem w_t - lap(w) = -f w, and the stationary problem to the
-  principal eigenvalue problem of -lap + f.
+  principal eigenvalue problem of -lap + f.  In 1D the grid operator
+  -lap_h + f is tridiagonal, and the field at any time comes from one
+  truncated eigendecomposition, exact in time; in 2D it is marched with the
+  explicit heat step ``kernels.heat_step``.
 
 The transform gives a fully independent linear-algebra path to the ergodic
 constant, so any agreement with the nonlinear evolution is meaningful.
@@ -21,17 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from . import kernels
 from .errors import ConfigError, StagnationError
-from .grid import GridFunction, grids_equal, interior_grid
+from .grid import Grid, GridFunction, grids_equal, interior_grid, window_slices
 
 #: inverse power iteration: stop at residual <= EIGEN_TOL max(1, |lambda|)
 EIGEN_TOL = 1e-8
 EIGEN_MAX_ITER = 500
-#: the heat step's dt as a share of its stability bound
+#: the 1D field keeps the modes with lambda_k - lambda_0 <= MODE_SPAN / T_min:
+#: the rest decay by exp(-MODE_SPAN) < 2^-53 by the smallest positive time
+MODE_SPAN = 40.0
+#: the 2D march's dt as a share of its stability bound
 HEAT_SAFETY = 0.9
-#: w is rescaled by a power of two once max w drops below this
+#: the 2D march rescales w by a power of two once max w drops below this
 RESCALE_THRESHOLD = 2.0**-40
 
 
@@ -163,19 +170,20 @@ def hopf_cole_eigenvalue(f: GridFunction):
     )
 
 
-def hopf_cole_parabolic(f: GridFunction, u0: GridFunction, times):
-    """Integrate w_t = lap(w) - f w with w0 = exp(-u0); return u = -log w at
-    each of the sorted ``times``, all from one integration.
+def hopf_cole_parabolic(
+    f: GridFunction, u0: GridFunction, times, window_half_width: float
+):
+    """u = -log w for w_t = lap(w) - f w, w0 = exp(-u0), at each of the sorted
+    nonnegative ``times``, on the window [-w, w]^N; returns (fields, info).
 
-    Valid for m = 2 only.  When max w drifts below the threshold, w is
-    rescaled by a power of two and the exact log shift is carried along;
-    power-of-two scaling commutes bit-exactly with the linear update, so the
-    rescaled trajectory reproduces the unrescaled one.  The last step before
-    each requested time is shortened to land on it.  Times must be
-    nonnegative.
+    Valid for m = 2 only.  The zero-Dirichlet closure makes -log w infinite
+    on the boundary ring, so the window must lie inside the box interior.
 
-    The zero-Dirichlet closure makes -log w infinite on the boundary ring, so
-    each field is returned on the grid shrunk by one node per side.
+    In 1D -lap_h + f is a symmetric tridiagonal matrix, and every field comes
+    from one truncated eigendecomposition, exact in time
+    (``_spectral_fields``); in 2D from one forward-Euler march
+    (``_march_fields``).  ``info`` says how: the number of modes kept and the
+    largest kept eigenvalue, or the march's step and step count.
     """
     g = f.grid
     if g.periodic:
@@ -187,6 +195,65 @@ def hopf_cole_parabolic(f: GridFunction, u0: GridFunction, times):
         raise ConfigError(f"output times must be sorted, got {times}")
     if times and times[0] < 0.0:
         raise ConfigError(f"output times must be nonnegative, got {times}")
+    win = window_slices(interior_grid(g), window_half_width)
+    win_grid = Grid("box", window_half_width, win[0].stop - win[0].start, g.dim)
+    route = _spectral_fields if g.dim == 1 else _march_fields
+    values, info = route(f, u0, times, win)
+    return [GridFunction(win_grid, v) for v in values], info
+
+
+def _spectral_fields(f, u0, times, win):
+    """w(T) = V exp(-(Lambda - lambda_0) T) V^T w0 from the modes with
+    lambda_k - lambda_0 <= MODE_SPAN / T_min, T_min the smallest positive
+    time; u = -log w + lambda_0 T, evaluated on the window only.
+
+    In the far tail w sits at round-off, where the truncated sum loses
+    relative accuracy, so no field leaves the window.
+    """
+    u0_win = u0.values[1:-1][win]
+    positive = [T for T in times if T > 0.0]
+    if not positive:
+        info = {"modes": 0, "largest_eigenvalue": math.nan}
+        return [u0_win.copy() for _ in times], info
+    h2 = f.grid.spacing ** 2
+    d = 2.0 / h2 + f.values[1:-1]
+    e = np.full(d.size - 1, -1.0 / h2)
+    lam0 = float(
+        eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0))[0]
+    )
+    lam, V = eigh_tridiagonal(
+        d, e, select="v", select_range=(-np.inf, lam0 + MODE_SPAN / positive[0])
+    )
+    V_win = V[win]
+    decay = lam - lam0
+    fields = []
+    # an overflow of exp(-u0) is reported by the check below, in one line
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = V.T @ np.exp(-u0.values[1:-1])
+        for T in times:
+            if T == 0.0:
+                fields.append(u0_win.copy())
+                continue
+            w = V_win @ (np.exp(-decay * T) * c)
+            if not np.all(w > 0.0) or not np.all(np.isfinite(w)):
+                raise StagnationError(
+                    f"transformed field hit zero or overflowed on the window "
+                    f"at t={T:g}"
+                )
+            fields.append(lam0 * T - np.log(w))
+    return fields, {"modes": int(lam.size), "largest_eigenvalue": float(lam[-1])}
+
+
+def _march_fields(f, u0, times, win):
+    """Forward-Euler march of w_t = lap(w) - f w through the sorted times.
+
+    When max w drifts below the threshold, w is rescaled by a power of two
+    and the exact log shift is carried along; power-of-two scaling commutes
+    bit-exactly with the linear update, so the rescaled trajectory reproduces
+    the unrescaled one.  The last step before each requested time is
+    shortened to land on it.
+    """
+    g = f.grid
     h = g.spacing
     interior = (slice(1, -1),) * g.dim
     w = np.zeros(g.shape)  # the Dirichlet ring stays zero
@@ -194,8 +261,8 @@ def hopf_cole_parabolic(f: GridFunction, u0: GridFunction, times):
     out = np.empty_like(w)
     fmax = float(np.max(f.values))
     dt_stable = HEAT_SAFETY / (2.0 * g.dim / (h * h) + fmax)
-    sub = interior_grid(g)
     t = 0.0
+    steps = 0
     shift_exp = 0  # integer power-of-two exponent, exact bookkeeping
     fields = []
     for T in times:
@@ -204,6 +271,7 @@ def hopf_cole_parabolic(f: GridFunction, u0: GridFunction, times):
             kernels.heat_step(w, f.values, dt, h, out)
             w, out = out, w
             t += dt
+            steps += 1
             wmax = np.maximum.reduce(w, axis=None)  # np.max's wrapper costs more
             if wmax <= 0.0:
                 raise StagnationError(
@@ -218,5 +286,5 @@ def hopf_cole_parabolic(f: GridFunction, u0: GridFunction, times):
         if np.any(wi <= 0.0):
             raise StagnationError("transformed field hit zero on the interior")
         log_shift = shift_exp * math.log(2.0)  # -log of the applied rescalings
-        fields.append(GridFunction(sub, -np.log(wi) - log_shift))
-    return fields
+        fields.append(-np.log(wi[win]) - log_shift)
+    return fields, {"dt": dt_stable, "steps": steps}

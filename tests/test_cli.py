@@ -265,6 +265,11 @@ def test_oracle_command(quick_cfg, tmp_path):
     ]
     assert rows[0].startswith("check,")
     assert all(r.endswith(",1") for r in rows[1:])
+    # the summary says how the transform field was computed, with no verdict
+    summary = (out / "summary.txt").read_text().splitlines()
+    (route,) = [line for line in summary if line.startswith("transform field:")]
+    assert "eigenmodes" in route and "largest kept eigenvalue" in route
+    assert "True" not in route and "False" not in route
 
 
 def test_oracle_rejects_subquadratic(tmp_path, capsys):
@@ -278,12 +283,14 @@ def test_oracle_rejects_subquadratic(tmp_path, capsys):
 
 
 def test_oracle_stagnation_exits_three_with_one_line(tmp_path, capsys):
-    # a steep initial bowl drives exp(-u0) to zero on the interior
+    # a steep initial bowl drives exp(-u0) to zero on the interior; the 2D
+    # field is marched, and the march stalls (the 1D field does not: see
+    # test_reference's steep-bowl test)
     cfg = tmp_path / "bowl.cfg"
     cfg.write_text(
-        "problem:\n  m: 2.0\n  dim: 1\n  source:\n    family: power\n    alpha: 2.0\n"
-        "  initial:\n    family: quadratic_bowl\n    amplitude: 20\n"
-        "oracle:\n  box_half_width: 8\n  spacing: 0.1\n  horizon: 1.0\n"
+        "problem:\n  m: 2.0\n  dim: 2\n  source:\n    family: power\n    alpha: 2.0\n"
+        "  initial:\n    family: quadratic_bowl\n    amplitude: 50\n"
+        "oracle:\n  box_half_width: 4\n  spacing: 0.25\n  horizon: 1.0\n"
     )
     code = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 3

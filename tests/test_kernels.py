@@ -320,15 +320,29 @@ def test_parabolic_oracle_calls_heat_step_once_per_step(monkeypatch):
     from ergodic_hj import SourceSpec, make_grid, sample
     from ergodic_hj.reference import hopf_cole_parabolic
 
-    g = make_grid("box", 2.0, 0.25, 1)
+    # the 2D field is marched; the 1D one comes from an eigendecomposition
+    g = make_grid("box", 2.0, 0.25, 2)
     f = sample(SourceSpec("power", alpha=2.0), g)
     _, dts = _recording(monkeypatch, "heat_step")
-    hopf_cole_parabolic(f, GridFunction(g, np.zeros(g.shape)), [0.3, 0.5])
-    dt_stable = 0.9 / (2.0 / g.spacing**2 + float(np.max(f.values)))
+    u0 = GridFunction(g, np.zeros(g.shape))
+    _, info = hopf_cole_parabolic(f, u0, [0.3, 0.5], 1.0)
+    dt_stable = 0.9 / (2.0 * g.dim / g.spacing**2 + float(np.max(f.values)))
     # full stable steps, each output time reached by at most one shorter one
     assert sum(dt != dt_stable for dt in dts) <= 2
     assert min(abs(t - 0.3) for t in np.cumsum(dts)) < 1e-12
     assert sum(dts) == pytest.approx(0.5, rel=1e-12)
+    assert info == {"dt": dt_stable, "steps": len(dts)}
+
+
+def test_parabolic_oracle_takes_no_heat_step_in_1d(monkeypatch):
+    from ergodic_hj import SourceSpec, make_grid, sample
+    from ergodic_hj.reference import hopf_cole_parabolic
+
+    g = make_grid("box", 2.0, 0.25, 1)
+    f = sample(SourceSpec("power", alpha=2.0), g)
+    _, dts = _recording(monkeypatch, "heat_step")
+    hopf_cole_parabolic(f, GridFunction(g, np.zeros(g.shape)), [0.3, 0.5], 1.0)
+    assert dts == []
 
 
 def test_evolve_lands_each_step_on_samples_snapshots_and_horizon(monkeypatch):

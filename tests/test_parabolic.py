@@ -54,6 +54,21 @@ def test_stationary_profile_increments_by_lambda_dt(m):
     assert np.max(np.abs(inc - oracle.lambda_exact)) < 0.1
 
 
+def test_blow_up_raises_without_numpy_warnings():
+    # evolve silences the overflow itself, so a blow-up surfaces as one
+    # BlowUpError even when every warning is an error
+    import warnings
+
+    p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
+    g = make_grid("box", 2.0, 0.25, 1)
+    f = np.zeros(g.shape)
+    f[8] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError):
+            evolve(p, g, 0.1, source=GridFunction(g, f))
+
+
 def test_step_detects_nonfinite(monkeypatch):
     # a huge source overflows the squared gradient on the second step; the
     # check at the next sample names a node, as plain ints

@@ -9,6 +9,7 @@ from ergodic_hj import (
     InitialSpec,
     ProblemSpec,
     SourceSpec,
+    StagnationError,
     evolve,
     hopf_cole_eigenvalue,
     hopf_cole_parabolic,
@@ -106,8 +107,7 @@ def test_parabolic_transform_preserves_constants():
     g = make_grid("box", 4.0, 0.1, 1)
     f = GridFunction(g, np.zeros(g.shape))
     u0 = GridFunction(g, np.full(g.shape, 1.5))
-    (u,) = hopf_cole_parabolic(f, u0, [0.1])
-    mid = restrict(u, 1.0)
+    (mid,), _ = hopf_cole_parabolic(f, u0, [0.1], 1.0)
     assert np.allclose(mid.values, 1.5, atol=1e-6)
 
 
@@ -117,9 +117,9 @@ def test_parabolic_transform_agrees_with_nonlinear_solver():
     g = make_grid("box", 8.0, h, 1)
     f = sample(p.source, g)
     u0 = sample(InitialSpec("zero"), g)
-    (u_lin,) = hopf_cole_parabolic(f, u0, [5.0])
+    (u_lin,), _ = hopf_cole_parabolic(f, u0, [5.0], 2.0)
     u_non = evolve(p, g, 5.0).u
-    diff = sup_norm_diff(restrict(u_lin, 2.0), restrict(u_non, 2.0))
+    diff = sup_norm_diff(u_lin, restrict(u_non, 2.0))
     assert diff < 0.05
 
 
@@ -127,23 +127,108 @@ def test_parabolic_transform_late_slope_matches_eigenvalue():
     g = make_grid("box", 8.0, 0.025, 1)
     f = sample(SourceSpec("power", alpha=2.0), g)
     u0 = sample(InitialSpec("zero"), g)
-    u4, u5 = hopf_cole_parabolic(f, u0, [4.0, 5.0])
-    slope = float(np.mean(restrict(u5, 2.0).values) - np.mean(restrict(u4, 2.0).values))
+    (u4, u5), _ = hopf_cole_parabolic(f, u0, [4.0, 5.0], 2.0)
+    slope = float(np.mean(u5.values) - np.mean(u4.values))
     assert slope == pytest.approx(1.0, abs=0.02)
 
 
 def test_parabolic_transform_fields_come_from_one_integration():
-    # the earlier field is the prefix of the same trajectory, so it matches a
-    # run stopped there bit for bit; unsorted times are refused
+    # both calls share the smallest time, so they keep the same modes and the
+    # earlier field matches a call for it alone bit for bit; unsorted times
+    # are refused
     g = make_grid("box", 4.0, 0.125, 1)
     f = sample(SourceSpec("power", alpha=2.0), g)
     u0 = sample(InitialSpec("zero"), g)
-    u1, u2 = hopf_cole_parabolic(f, u0, [1.0, 2.0])
-    (alone,) = hopf_cole_parabolic(f, u0, [1.0])
+    (u1, u2), _ = hopf_cole_parabolic(f, u0, [1.0, 2.0], 2.0)
+    (alone,), _ = hopf_cole_parabolic(f, u0, [1.0], 2.0)
     assert np.array_equal(u1.values, alone.values)
     assert not np.array_equal(u1.values, u2.values)
     with pytest.raises(ConfigError):
-        hopf_cole_parabolic(f, u0, [2.0, 1.0])
+        hopf_cole_parabolic(f, u0, [2.0, 1.0], 2.0)
+
+
+def _dense_transform_window(f, u0, T, window_half_width):
+    """-log w(T) + lambda_0 T on the window, from a dense eigendecomposition
+    of the 1D zero-Dirichlet operator -lap_h + f."""
+    h2 = f.grid.spacing ** 2
+    n = f.grid.nodes_per_axis - 2
+    off = np.full(n - 1, -1.0 / h2)
+    A = np.diag(2.0 / h2 + f.values[1:-1]) + np.diag(off, 1) + np.diag(off, -1)
+    lam, V = np.linalg.eigh(A)
+    w = V @ (np.exp(-(lam - lam[0]) * T) * (V.T @ np.exp(-u0.values[1:-1])))
+    k = int(round(window_half_width / f.grid.spacing))
+    c = (n - 1) // 2
+    return lam[0] * T - np.log(w[c - k : c + k + 1])
+
+
+def test_spectral_field_matches_dense_decomposition():
+    g = make_grid("box", 4.0, 0.1, 1)
+    f = sample(SourceSpec("power", alpha=2.0), g)
+    u0 = sample(InitialSpec("quadratic_bowl", amplitude=0.5), g)
+    times = (0.5, 1.0, 5.0)
+    fields, info = hopf_cole_parabolic(f, u0, times, 2.0)
+    assert 0 < info["modes"] < g.nodes_per_axis - 2
+    for T, u in zip(times, fields):
+        dense = _dense_transform_window(f, u0, T, 2.0)
+        assert np.max(np.abs(u.values - dense)) < 1e-10
+
+
+def test_spectral_field_at_time_zero_is_the_initial_data():
+    g = make_grid("box", 4.0, 0.1, 1)
+    f = sample(SourceSpec("power", alpha=2.0), g)
+    u0 = sample(InitialSpec("quadratic_bowl", amplitude=0.5), g)
+    expected = restrict(u0, 2.0).values
+    (u_start, _), _ = hopf_cole_parabolic(f, u0, [0.0, 1.0], 2.0)
+    assert u_start.values.tobytes() == expected.tobytes()
+    (alone,), _ = hopf_cole_parabolic(f, u0, [0.0], 2.0)
+    assert alone.values.tobytes() == expected.tobytes()
+
+
+def test_spectral_field_stays_finite_on_a_wide_box():
+    # the whole-interior field is non-finite in the far tail here, where w
+    # sits at round-off; the window fields are not
+    g = make_grid("box", 16.0, 0.05, 1)
+    f = sample(SourceSpec("power", alpha=2.0), g)
+    u0 = sample(InitialSpec("zero"), g)
+    fields, _ = hopf_cole_parabolic(f, u0, [4.0, 5.0], 2.0)
+    assert all(np.all(np.isfinite(u.values)) for u in fields)
+
+
+def test_spectral_late_slope_matches_eigenvalue_closely():
+    # exact in time, the transform slope sees only the spectral gap's decay
+    g = make_grid("box", 8.0, 0.025, 1)
+    f = sample(SourceSpec("power", alpha=2.0), g)
+    u0 = sample(InitialSpec("zero"), g)
+    (u4, u5), _ = hopf_cole_parabolic(f, u0, [4.0, 5.0], 2.0)
+    slope = float(np.mean(u5.values) - np.mean(u4.values))
+    lam, _ = hopf_cole_eigenvalue(f)
+    assert abs(slope - lam) < 1e-6
+
+
+def test_spectral_field_from_a_steep_bowl_matches_dense_decomposition():
+    # exp(-u0) underflows on most of the box; the field stays finite and
+    # exact on the window
+    g = make_grid("box", 8.0, 0.1, 1)
+    f = sample(SourceSpec("power", alpha=2.0), g)
+    u0 = sample(InitialSpec("quadratic_bowl", amplitude=20.0), g)
+    fields, _ = hopf_cole_parabolic(f, u0, [0.0, 1.0], 2.0)
+    assert np.all(np.isfinite(fields[1].values))
+    dense = _dense_transform_window(f, u0, 1.0, 2.0)
+    assert np.max(np.abs(fields[1].values - dense)) < 1e-10
+
+
+def test_spectral_field_refuses_a_non_finite_window():
+    # exp(-u0) overflows, so w is not a finite positive field on the window;
+    # the error says so alone, with no numpy warning before it
+    import warnings
+
+    g = make_grid("box", 4.0, 0.1, 1)
+    f = sample(SourceSpec("power", alpha=2.0), g)
+    u0 = GridFunction(g, np.full(g.shape, -800.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StagnationError, match="on the window"):
+            hopf_cole_parabolic(f, u0, [1.0], 2.0)
 
 
 def test_parabolic_transform_refuses_negative_times():
@@ -153,7 +238,7 @@ def test_parabolic_transform_refuses_negative_times():
     f = sample(SourceSpec("power", alpha=2.0), g)
     u0 = sample(InitialSpec("zero"), g)
     with pytest.raises(ConfigError, match="nonnegative"):
-        hopf_cole_parabolic(f, u0, [-0.5, 0.5])
+        hopf_cole_parabolic(f, u0, [-0.5, 0.5], 2.0)
 
 
 def test_rescaling_reproduces_unrescaled_run_bitwise():
@@ -185,7 +270,7 @@ def test_parabolic_transform_needs_box():
     f = GridFunction(g, np.ones(g.shape))
     u0 = GridFunction(g, np.zeros(g.shape))
     with pytest.raises(ConfigError):
-        hopf_cole_parabolic(f, u0, [1.0])
+        hopf_cole_parabolic(f, u0, [1.0], 2.0)
 
 
 def test_solver_vs_eigenvalue_gap_stable_in_box_size():
