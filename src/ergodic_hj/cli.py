@@ -4,7 +4,8 @@ Commands: validate, ergodic, longtime, oracle, all.  Every report table is
 written by ``grid.write_table``, numeric cells with repr, so re-running a
 config sequentially reproduces the files byte for byte; wall-clock timings
 go to a separate timings.txt precisely so the scientific outputs stay
-deterministic.
+deterministic.  Each command's summary is one record of (key, value) pairs,
+which ``_write_summary`` renders as summary.txt and as summary.json.
 
 Exit codes: 0 pass, 1 scientific verdict failure, 2 usage or config error
 (a tabulated source that cannot serve the run included), 3 numerical
@@ -121,30 +122,57 @@ def _blow_up_cap(cfg: dict) -> float:
     return float(get_path(cfg, "scheme.blow_up_cap", default=1e3))
 
 
+def _positive(cfg: dict, key: str, default: float) -> float:
+    """A margin or tolerance: a value <= 0 would pass as a failed verdict."""
+    value = float(get_path(cfg, key, default=default))
+    if not value > 0:
+        raise ConfigError(f"{key} must be positive, got {value:g}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # report helpers
 # ---------------------------------------------------------------------------
 
 
-def _write_summary(out_dir, header, title, lines):
-    """summary.txt: the resolved config, then the command's report lines."""
+def _write_summary(out_dir, cfg, header, title, record, json_flag):
+    """summary.txt and, with json_flag, summary.json, from one record.
+
+    The record is the command's ordered (key, value) pairs of Python scalars,
+    lists and dicts.  summary.txt is the resolved config, then one
+    ``key: value`` line per pair (a list gives one line per item);
+    summary.json is the config and the same pairs in the same order.
+    """
+    lines = [
+        f"{key}: {_text_value(item)}"
+        for key, value in record
+        for item in (value if isinstance(value, list) else [value])
+    ]
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(["== config =="] + header + [f"== {title} =="] + lines))
         fh.write("\n")
+    if json_flag:
+        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+            json.dump(_json_value({"config": cfg, **dict(record)}), fh, indent=2)
+            fh.write("\n")
 
 
-def _summary_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+def _text_value(value):
+    """A float by repr, a dict as space-separated k=v, anything else by str."""
+    if isinstance(value, dict):
+        return " ".join(f"{k}={_text_value(v)}" for k, v in value.items())
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _json_value(value):
+    """The value with every non-finite float replaced by null (JSON has none)."""
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _run_tag(kind, half_width, cutoff):
@@ -223,35 +251,19 @@ def cmd_validate(cfg, out_dir, json_flag=False):
         ("radius", "envelope", "h2_radius", "h2_ratio"),
         zip_longest(h1["radii"], h1["envelope"], h2["radii"], h2["ratios"]),
     )
-    _write_summary(out_dir, header, "hypothesis report", [
-        f"coercivity_plausible: {h1['plausible']}",
-        f"envelope_monotone: {h1['monotone']}",
-        f"gradient_ratio_plausible: {h2['plausible']}",
-        f"ratio_points_skipped: {h2['skipped']}",
-    ])
-    if json_flag:
-        _summary_json(
-            os.path.join(out_dir, "summary.json"),
-            {
-                "config": cfg,
-                "coercivity_plausible": h1["plausible"],
-                "gradient_ratio_plausible": h2["plausible"],
-            },
-        )
+    _write_summary(out_dir, cfg, header, "hypothesis report", [
+        ("coercivity_plausible", h1["plausible"]),
+        ("envelope_monotone", h1["monotone"]),
+        ("gradient_ratio_plausible", h2["plausible"]),
+        ("ratio_points_skipped", h2["skipped"]),
+    ], json_flag)
     return EXIT_PASS if (h1["plausible"] and h2["plausible"]) else EXIT_VERDICT
 
 
-def _state_job(args):
-    problem, R, spacing = args
+def _ladder_job(args):
+    solve, problem, size, spacing = args
     t0 = time.perf_counter()
-    run = ergodic.solve_state_constraint(problem, R, spacing)
-    return run, time.perf_counter() - t0
-
-
-def _periodic_job(args):
-    problem, cutoff, spacing = args
-    t0 = time.perf_counter()
-    run = ergodic.solve_periodic(problem, cutoff, spacing)
+    run = solve(problem, size, spacing)
     return run, time.perf_counter() - t0
 
 
@@ -264,24 +276,22 @@ def run_ergodic_ladder(cfg, jobs=1):
     spacing = get_path(cfg, "ergodic.spacing")
     if spacing is None:
         raise ConfigError("missing required config field 'ergodic.spacing'")
-    state_args = [(problem, float(R), float(spacing)) for R in ladder]
-    per_args = [(problem, float(c), float(spacing)) for c in cutoffs]
+    tasks = [(ergodic.solve_state_constraint, problem, float(R), float(spacing))
+             for R in ladder]
+    tasks += [(ergodic.solve_periodic, problem, float(c), float(spacing))
+              for c in cutoffs]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            state_out = list(pool.map(_state_job, state_args))
-            per_out = list(pool.map(_periodic_job, per_args))
+        # a pool forks all its workers at once: no more than there are runs
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            out = list(pool.map(_ladder_job, tasks))
     else:
-        state_out = [_state_job(a) for a in state_args]
-        per_out = [_periodic_job(a) for a in per_args]
-    state_runs = [r for r, _ in state_out]
-    periodic_runs = [r for r, _ in per_out]
-    timings = [
-        (_run_tag(r.kind, r.half_width, r.cutoff), dt) for r, dt in state_out + per_out
-    ]
-    return problem, state_runs, periodic_runs, timings
+        out = [_ladder_job(t) for t in tasks]
+    runs = [r for r, _ in out]
+    timings = [(_run_tag(r.kind, r.half_width, r.cutoff), dt) for r, dt in out]
+    return problem, runs[:len(ladder)], runs[len(ladder):], timings
 
 
-def cmd_ergodic(cfg, out_dir, jobs=1, json_flag=False, allow_partial=False):
+def cmd_ergodic(cfg, out_dir, jobs=1, allow_partial=False):
     problem, state_runs, periodic_runs, timings = run_ergodic_ladder(cfg, jobs)
     est = ergodic.estimate_lambda_star(state_runs, periodic_runs)
     header = resolved_lines(cfg)
@@ -310,40 +320,21 @@ def cmd_ergodic(cfg, out_dir, jobs=1, json_flag=False, allow_partial=False):
         fh.write("# wall-clock seconds per run; excluded from determinism checks\n")
         for tag, dt in timings:
             fh.write(f"{tag} {dt:.3f}\n")
-    lines = [
-        f"value: {est.value!r}",
-        f"upper_bracket: {est.upper_bracket!r}",
-        f"lower_bracket: {est.lower_bracket!r}",
-        f"gap: {est.gap!r}",
-        f"lower_is_heuristic: {est.lower_is_heuristic}",
+    record = [
+        ("value", est.value),
+        ("upper_bracket", est.upper_bracket),
+        ("lower_bracket", est.lower_bracket),
+        ("gap", est.gap),
+        ("lower_is_heuristic", est.lower_is_heuristic),
+        ("note", list(est.notes)),
+    ] + [
+        (f"run {_run_tag(r.kind, r.half_width, r.cutoff)}",
+         {"constant": r.constant, "residual_norm": r.residual_norm,
+          "converged": r.converged})
+        for r in all_runs
     ]
-    for note in est.notes:
-        lines.append(f"note: {note}")
-    for r in all_runs:
-        lines.append(
-            f"run {_run_tag(r.kind, r.half_width, r.cutoff)}: constant={r.constant!r} "
-            f"residual_norm={r.residual_norm!r} converged={r.converged}"
-        )
-    _write_summary(out_dir, header, "ergodic constant estimate", lines)
-    payload = {
-        "config": cfg,
-        "value": est.value,
-        "upper_bracket": est.upper_bracket,
-        "lower_bracket": None if math.isinf(est.lower_bracket) else est.lower_bracket,
-        "gap": None if math.isinf(est.gap) else est.gap,
-        "runs": [
-            {
-                "kind": r.kind,
-                "half_width": r.half_width,
-                "cutoff": r.cutoff,
-                "constant": r.constant,
-                "residual_norm": r.residual_norm,
-                "converged": r.converged,
-            }
-            for r in all_runs
-        ],
-    }
-    _summary_json(os.path.join(out_dir, "summary.json"), payload)
+    # always JSON: perfbench's lambda_estimate reads it from runs without --json
+    _write_summary(out_dir, cfg, header, "ergodic constant estimate", record, True)
     ok = all(r.converged for r in all_runs)
     if not ok and not allow_partial:
         return EXIT_VERDICT
@@ -363,8 +354,8 @@ def cmd_longtime(cfg, out_dir, jobs=1, json_flag=False, artifacts=None,
     box = float(get_path(cfg, "longtime.box_half_width", required=True))
     spacing = float(get_path(cfg, "longtime.spacing", required=True))
     window = float(get_path(cfg, "longtime.window_half_width", default=2.0))
-    epsilon = float(get_path(cfg, "longtime.epsilon", default=0.1))
-    tol = float(get_path(cfg, "longtime.tolerance", default=0.05))
+    epsilon = _positive(cfg, "longtime.epsilon", 0.1)
+    tol = _positive(cfg, "longtime.tolerance", 0.05)
 
     if artifacts:
         runs = load_artifacts(artifacts, problem)
@@ -434,27 +425,14 @@ def cmd_longtime(cfg, out_dir, jobs=1, json_flag=False, artifacts=None,
          "residual_bound", "init_margin", "later_margin", "passed"),
         barrier_rows,
     )
-    _write_summary(out_dir, header, "large-time report", [
-        f"lambda_star_used: {report.lambda_star_used!r}",
-        f"c_hat: {report.c_hat!r}",
-        f"final_sup_error: {report.final_sup_error!r}",
-        f"final_flatness: {report.final_flatness!r}",
-        f"converged: {report.converged}",
-        f"barriers_all_passed: {verdicts_ok}",
-    ])
-    if json_flag:
-        _summary_json(
-            os.path.join(out_dir, "summary.json"),
-            {
-                "config": cfg,
-                "lambda_star_used": report.lambda_star_used,
-                "c_hat": report.c_hat,
-                "final_sup_error": report.final_sup_error,
-                "final_flatness": report.final_flatness,
-                "converged": report.converged,
-                "barriers_all_passed": verdicts_ok,
-            },
-        )
+    _write_summary(out_dir, cfg, header, "large-time report", [
+        ("lambda_star_used", report.lambda_star_used),
+        ("c_hat", report.c_hat),
+        ("final_sup_error", report.final_sup_error),
+        ("final_flatness", report.final_flatness),
+        ("converged", report.converged),
+        ("barriers_all_passed", verdicts_ok),
+    ], json_flag)
     ok = report.converged and verdicts_ok
     if not ok and not allow_partial:
         return EXIT_VERDICT
@@ -476,9 +454,9 @@ def cmd_oracle(cfg, out_dir, json_flag=False):
         # the transform slope compares the fields at horizon - 1 and horizon
         raise ConfigError(f"oracle.horizon must be at least 1, got {horizon:g}")
     window = float(get_path(cfg, "oracle.window_half_width", default=2.0))
-    eig_tol = float(get_path(cfg, "oracle.eigen_tolerance", default=0.05))
-    field_tol = float(get_path(cfg, "oracle.field_tolerance", default=0.05))
-    slope_tol = float(get_path(cfg, "oracle.slope_tolerance", default=0.02))
+    eig_tol = _positive(cfg, "oracle.eigen_tolerance", 0.05)
+    field_tol = _positive(cfg, "oracle.field_tolerance", 0.05)
+    slope_tol = _positive(cfg, "oracle.slope_tolerance", 0.02)
 
     grid = make_grid("box", box, spacing, problem.dim)
     f = sample(problem.source, grid)
@@ -523,38 +501,29 @@ def cmd_oracle(cfg, out_dir, json_flag=False):
         [row + (row[3] <= row[4],) for row in rows],
     )
     ok = all(diff <= tl for _, _, _, diff, tl in rows)
-    _write_summary(out_dir, header, "oracle comparison", [
-        f"eigenvalue: {eig!r} (residual {info['residual']!r})",
-        _transform_route_line(route),
-        f"all_within_tolerance: {ok}",
-    ])
-    if json_flag:
-        _summary_json(
-            os.path.join(out_dir, "summary.json"),
-            {"config": cfg, "eigenvalue": eig, "all_within_tolerance": ok},
-        )
+    _write_summary(out_dir, cfg, header, "oracle comparison", [
+        ("eigenvalue", eig),
+        ("eigenvalue_residual", info["residual"]),
+        ("transform field", _transform_route(route)),
+        ("all_within_tolerance", ok),
+    ], json_flag)
     return EXIT_PASS if ok else EXIT_VERDICT
 
 
-def _transform_route_line(route):
+def _transform_route(route):
     """How the transform field was computed, so its error can be told apart."""
     if "modes" in route:
         return (
-            f"transform field: {route['modes']} eigenmodes of -lap + f, exact in "
-            f"time, largest kept eigenvalue {route['largest_eigenvalue']!r}"
+            f"{route['modes']} eigenmodes of -lap + f, exact in time, largest "
+            f"kept eigenvalue {route['largest_eigenvalue']!r}"
         )
-    return (
-        f"transform field: forward-Euler march, {route['steps']} steps of "
-        f"dt {route['dt']!r}"
-    )
+    return f"forward-Euler march, {route['steps']} steps of dt {route['dt']!r}"
 
 
 def cmd_all(cfg, out_dir, jobs=1, json_flag=False, allow_partial=False):
     codes = [cmd_validate(cfg, os.path.join(out_dir, "validate"), json_flag)]
     codes.append(
-        cmd_ergodic(
-            cfg, os.path.join(out_dir, "ergodic"), jobs, json_flag, allow_partial
-        )
+        cmd_ergodic(cfg, os.path.join(out_dir, "ergodic"), jobs, allow_partial)
     )
     codes.append(
         cmd_longtime(
@@ -586,7 +555,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--jobs", type=int, default=1, help="parallel ladder jobs")
-    parser.add_argument("--json", action="store_true", help="also emit summary.json")
+    parser.add_argument(
+        "--json", action="store_true",
+        help="also write summary.json (ergodic always writes it)",
+    )
     parser.add_argument(
         "--allow-partial",
         action="store_true",
@@ -604,7 +576,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(cfg, args.out, args.json)
         if args.command == "ergodic":
-            return cmd_ergodic(cfg, args.out, args.jobs, args.json, args.allow_partial)
+            return cmd_ergodic(cfg, args.out, args.jobs, args.allow_partial)
         if args.command == "longtime":
             return cmd_longtime(
                 cfg,

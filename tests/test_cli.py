@@ -157,6 +157,41 @@ def test_all_reruns_byte_identical(quick_cfg, tmp_path):
         "oracle/summary.txt",
     }
     assert expected <= compared
+    # without --json only ergodic writes summary.json (the benchmark reads it)
+    assert {n for n in compared if n.endswith("summary.json")} == {"ergodic/summary.json"}
+
+
+def _report_lines(path):
+    """The summary.txt lines after the command's title, below the config block."""
+    lines = path.read_text().splitlines()
+    title = [i for i, line in enumerate(lines) if line.startswith("== ")][1]
+    return lines[title + 1:]
+
+
+def _text_rule(value):
+    if isinstance(value, dict):
+        return " ".join(f"{k}={_text_rule(v)}" for k, v in value.items())
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds the non-JSON constant {name}")
+
+
+def test_summary_json_mirrors_summary_txt(quick_cfg, tmp_path):
+    out = tmp_path / "all"
+    assert main(["all", "--config", quick_cfg, "--out", str(out), "--json"]) == 0
+    for cmd in ("validate", "ergodic", "longtime", "oracle"):
+        text = (out / cmd / "summary.json").read_text()
+        payload = json.loads(text, parse_constant=_reject_constant)
+        assert payload.pop("config") == parse_config(QUICK)
+        # one line per pair, one per item of a list, in the JSON's key order
+        expected = [
+            f"{key}: {_text_rule(item)}"
+            for key, value in payload.items()
+            for item in (value if isinstance(value, list) else [value])
+        ]
+        assert expected == _report_lines(out / cmd / "summary.txt"), cmd
 
 
 def _perfbench(name):
@@ -186,6 +221,33 @@ def test_parallel_jobs_match_sequential(quick_cfg, tmp_path):
         if name == "timings.txt":
             continue
         assert filecmp.cmp(seq / name, par / name, shallow=False), name
+
+
+def test_parallel_pool_is_no_larger_than_the_ladder(quick_cfg, tmp_path, monkeypatch):
+    from ergodic_hj import cli
+
+    workers = []
+
+    class SerialPool:
+        """Records max_workers and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    out = tmp_path / "erg"
+    assert main(["ergodic", "--config", quick_cfg, "--out", str(out), "--jobs", "8"]) == 0
+    # QUICK has two box runs and one periodic run, all in one pool
+    assert workers == [3]
 
 
 def test_longtime_uses_artifacts_and_reports(quick_cfg, tmp_path):
@@ -424,6 +486,27 @@ def test_oracle_horizon_below_one_is_config_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "oracle.horizon" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("longtime.epsilon", "0.1"),
+        ("longtime.tolerance", "0.05"),
+        ("oracle.eigen_tolerance", "0.05"),
+        ("oracle.field_tolerance", "0.05"),
+        ("oracle.slope_tolerance", "0.02"),
+    ],
+)
+def test_nonpositive_margin_or_tolerance_is_config_error(tmp_path, capsys, key, value):
+    # a margin or tolerance <= 0 would otherwise surface as a failed verdict
+    command, name = key.split(".")
+    cfg = _quick_variant(tmp_path, (f"\n  {name}: {value}", f"\n  {name}: -{value}"))
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
     assert not (tmp_path / "o").exists()
 
 
