@@ -8,8 +8,13 @@ deterministic.  Each command's summary is one record of (key, value) pairs,
 which ``_write_summary`` renders as summary.txt and as summary.json.
 
 Exit codes: 0 pass, 1 scientific verdict failure, 2 usage or config error
-(a tabulated source that cannot serve the run included), 3 numerical
-failure: a blow-up or a stalled oracle.
+(an unknown, repeated or mistyped key, ergodic artifacts made with another
+problem or ladder, and a tabulated source that cannot serve the run
+included), 3 numerical failure: a blow-up or a stalled oracle.
+
+The config is resolved against ``config.SCHEMA`` and checked, together with
+the problem and scheme it builds, before the first command starts, so a
+config error costs no solve and writes no output directory.
 """
 
 from __future__ import annotations
@@ -27,7 +32,14 @@ from itertools import zip_longest
 import numpy as np
 
 from . import asymptotics, ergodic, reference
-from .config import get_path, load_config, resolved_lines
+from .config import (
+    first_difference,
+    load_config,
+    parse_config,
+    require,
+    resolve,
+    resolved_lines,
+)
 from .errors import (
     AlignmentError,
     BlowUpError,
@@ -69,65 +81,35 @@ EXIT_BLOWUP = 3
 # config -> objects
 # ---------------------------------------------------------------------------
 
-
-def build_source(cfg: dict) -> SourceSpec:
-    block = get_path(cfg, "problem.source", required=True)
-    family = block.get("family")
-    if family is None:
-        raise ConfigError("problem.source.family is required")
-    if family == "custom_table":
-        path = block.get("table_path")
-        if not path:
-            raise ConfigError("custom_table source needs table_path")
-        return SourceSpec(family="custom_table", table=import_table(path))
-    return SourceSpec(
-        family=family,
-        alpha=float(block.get("alpha", 2.0)),
-        osc_amp=float(block.get("osc_amp", 0.0)),
-        shift=float(block.get("shift", 0.0)),
-    )
-
-
-def build_initial(cfg: dict) -> InitialSpec:
-    block = get_path(cfg, "problem.initial", default={"family": "zero"})
-    family = block.get("family", "zero")
-    if family == "custom_table":
-        path = block.get("table_path")
-        if not path:
-            raise ConfigError("custom_table initial data needs table_path")
-        return InitialSpec(family="custom_table", table=import_table(path))
-    return InitialSpec(
-        family=family,
-        amplitude=float(block.get("amplitude", 1.0)),
-        width=float(block.get("width", 1.0)),
-    )
+#: the config blocks each command reads, whose required keys it needs
+COMMAND_BLOCKS = {
+    "validate": ("problem", "validate"),
+    "ergodic": ("problem", "ergodic"),
+    "longtime": ("problem", "scheme", "ergodic", "longtime"),
+    "oracle": ("problem", "scheme", "oracle"),
+    "all": ("problem", "scheme", "validate", "ergodic", "longtime", "oracle"),
+}
 
 
 def build_problem(cfg: dict) -> ProblemSpec:
-    m = get_path(cfg, "problem.m")
-    if m is None:
-        raise ConfigError("missing required config field 'problem.m'")
-    dim = int(get_path(cfg, "problem.dim", default=1))
+    block = cfg["problem"]
     return ProblemSpec(
-        m=float(m), source=build_source(cfg), initial=build_initial(cfg), dim=dim
+        m=block["m"],
+        source=_spec(SourceSpec, block["source"], "source"),
+        initial=_spec(InitialSpec, block["initial"], "initial data"),
+        dim=block["dim"],
     )
 
 
-def build_scheme(cfg: dict) -> SchemeConfig:
-    block = get_path(cfg, "scheme", default={})
-    return SchemeConfig(cfl_safety=float(block.get("cfl_safety", 0.9)))
-
-
-def _blow_up_cap(cfg: dict) -> float:
-    return float(get_path(cfg, "scheme.blow_up_cap", default=1e3))
-
-
-def _positive(cfg: dict, key: str, default: float) -> float:
-    """A margin or tolerance: a value <= 0 would pass as a failed verdict."""
-    value = float(get_path(cfg, key, default=default))
-    if not value > 0:
-        raise ConfigError(f"{key} must be positive, got {value:g}")
-    return value
+def _spec(cls, block, what):
+    """A SourceSpec or InitialSpec from its block: the block's keys are its fields."""
+    fields = dict(block)
+    path = fields.pop("table_path", None)
+    if fields["family"] != "custom_table":
+        return cls(**fields)
+    if path is None:
+        raise ConfigError(f"custom_table {what} needs table_path")
+    return cls(family="custom_table", table=import_table(path))
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +163,24 @@ def _run_tag(kind, half_width, cutoff):
     return f"periodic_S{half_width:g}_cut{cutoff:g}"
 
 
-def load_artifacts(art_dir, problem: ProblemSpec):
-    """Rebuild ergodic runs from a prior `ergodic` output directory."""
+def load_artifacts(art_dir, cfg):
+    """Rebuild ergodic runs from a prior `ergodic` output directory.
+
+    The runs must come from the config's own problem and ladder: the config
+    in ``runs.csv``'s header is resolved and compared block by block.
+    """
     runs_path = os.path.join(art_dir, "runs.csv")
     if not os.path.exists(runs_path):
         raise ConfigError(f"missing ergodic artifact: expected file {runs_path}")
+    with open(runs_path) as fh:
+        header = "".join(line[2:] for line in fh if line.startswith("# "))
+    made_with = resolve(parse_config(header))
+    differs = first_difference(made_with, cfg, ("problem", "ergodic"))
+    if differs is not None:
+        raise ConfigError(
+            "artifacts in {} were made with {} = {!r}; the config has {!r}".format(
+                art_dir, *differs)
+        )
     runs = []
     for row in read_table(runs_path):
         kind = row["kind"]
@@ -195,7 +190,7 @@ def load_artifacts(art_dir, problem: ProblemSpec):
         prof_path = os.path.join(art_dir, f"profile_{tag}.csv")
         if not os.path.exists(prof_path):
             raise ConfigError(f"missing profile artifact: expected {prof_path}")
-        profile = _load_profile(prof_path, kind, half_width, problem.dim)
+        profile = _load_profile(prof_path, kind, half_width, cfg["problem"]["dim"])
         runs.append(
             ergodic.ErgodicApprox(
                 kind=kind,
@@ -215,20 +210,14 @@ def load_artifacts(art_dir, problem: ProblemSpec):
 
 def _load_profile(path, kind, half_width, dim):
     table = import_table(path)
-    if dim == 1:
-        xs, vals = table
-        n_store = len(xs)
-    else:
-        xs, ys, vals = table
-        n_store = len(xs)
-    nodes = n_store + 1 if kind == "periodic" else n_store
+    n_store = len(table[0])
     grid = Grid(
         kind="torus" if kind == "periodic" else "box",
         half_width=half_width,
-        nodes_per_axis=nodes,
+        nodes_per_axis=n_store + 1 if kind == "periodic" else n_store,
         dim=dim,
     )
-    return GridFunction(grid, np.asarray(vals, float).reshape(grid.shape))
+    return GridFunction(grid, np.asarray(table[-1], float).reshape(grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +225,8 @@ def _load_profile(path, kind, half_width, dim):
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg, out_dir, json_flag=False):
-    problem = build_problem(cfg)
-    radii = get_path(cfg, "validate.radii")
+def cmd_validate(cfg, problem, out_dir, json_flag=False):
+    radii = cfg["validate"].get("radii")
     # unset: h1_certificate's default, which depends on the source family
     h1 = h1_certificate(problem.source, np.asarray(radii, float) if radii else None)
     h2 = h2_certificate(problem.source, problem.m)
@@ -267,19 +255,11 @@ def _ladder_job(args):
     return run, time.perf_counter() - t0
 
 
-def run_ergodic_ladder(cfg, jobs=1):
-    problem = build_problem(cfg)
-    ladder = get_path(cfg, "ergodic.ladder")
-    if not ladder:
-        raise ConfigError("missing required config field 'ergodic.ladder'")
-    cutoffs = get_path(cfg, "ergodic.cutoffs", default=[]) or []
-    spacing = get_path(cfg, "ergodic.spacing")
-    if spacing is None:
-        raise ConfigError("missing required config field 'ergodic.spacing'")
-    tasks = [(ergodic.solve_state_constraint, problem, float(R), float(spacing))
-             for R in ladder]
-    tasks += [(ergodic.solve_periodic, problem, float(c), float(spacing))
-              for c in cutoffs]
+def run_ergodic_ladder(cfg, problem, jobs=1):
+    block = cfg["ergodic"]
+    ladder, spacing = block["ladder"], block["spacing"]
+    tasks = [(ergodic.solve_state_constraint, problem, R, spacing) for R in ladder]
+    tasks += [(ergodic.solve_periodic, problem, c, spacing) for c in block["cutoffs"]]
     if jobs > 1:
         # a pool forks all its workers at once: no more than there are runs
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
@@ -288,11 +268,11 @@ def run_ergodic_ladder(cfg, jobs=1):
         out = [_ladder_job(t) for t in tasks]
     runs = [r for r, _ in out]
     timings = [(_run_tag(r.kind, r.half_width, r.cutoff), dt) for r, dt in out]
-    return problem, runs[:len(ladder)], runs[len(ladder):], timings
+    return runs[:len(ladder)], runs[len(ladder):], timings
 
 
-def cmd_ergodic(cfg, out_dir, jobs=1, allow_partial=False):
-    problem, state_runs, periodic_runs, timings = run_ergodic_ladder(cfg, jobs)
+def cmd_ergodic(cfg, problem, out_dir, jobs=1, allow_partial=False):
+    state_runs, periodic_runs, timings = run_ergodic_ladder(cfg, problem, jobs)
     est = ergodic.estimate_lambda_star(state_runs, periodic_runs)
     header = resolved_lines(cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -341,30 +321,18 @@ def cmd_ergodic(cfg, out_dir, jobs=1, allow_partial=False):
     return EXIT_PASS
 
 
-def cmd_longtime(cfg, out_dir, jobs=1, json_flag=False, artifacts=None,
-                 allow_partial=False):
-    problem = build_problem(cfg)
-    scheme = build_scheme(cfg)
-    horizon = get_path(cfg, "longtime.horizon")
-    if horizon is None:
-        raise ConfigError("missing required config field 'longtime.horizon'")
-    horizon = float(horizon)
-    if horizon <= 0:
-        raise ConfigError("longtime.horizon must be positive (history would be empty)")
-    box = float(get_path(cfg, "longtime.box_half_width", required=True))
-    spacing = float(get_path(cfg, "longtime.spacing", required=True))
-    window = float(get_path(cfg, "longtime.window_half_width", default=2.0))
-    epsilon = _positive(cfg, "longtime.epsilon", 0.1)
-    tol = _positive(cfg, "longtime.tolerance", 0.05)
-
+def cmd_longtime(cfg, problem, scheme, out_dir, jobs=1, json_flag=False,
+                 artifacts=None, allow_partial=False):
+    block = cfg["longtime"]
+    box = block["box_half_width"]
     if artifacts:
-        runs = load_artifacts(artifacts, problem)
+        runs = load_artifacts(artifacts, cfg)
         state_runs = [r for r in runs if r.kind == "state_constraint"]
         periodic_runs = [r for r in runs if r.kind == "periodic"]
         if not state_runs:
             raise ConfigError(f"artifacts in {artifacts} hold no state-constraint runs")
     else:
-        _, state_runs, periodic_runs, _ = run_ergodic_ladder(cfg, jobs)
+        state_runs, periodic_runs, _ = run_ergodic_ladder(cfg, problem, jobs)
     R_max = max(r.half_width for r in state_runs)
     if box < R_max:
         # the upper barrier compares each state profile on its whole box
@@ -379,13 +347,13 @@ def cmd_longtime(cfg, out_dir, jobs=1, json_flag=False, artifacts=None,
         problem,
         est.value,
         phi_ref,
-        horizon,
+        block["horizon"],
         box,
-        spacing,
+        block["spacing"],
         scheme,
-        window_half_width=window,
-        tol=tol,
-        blow_up_cap=_blow_up_cap(cfg),
+        window_half_width=block["window_half_width"],
+        tol=block["tolerance"],
+        blow_up_cap=cfg["scheme"]["blow_up_cap"],
     )
     header = resolved_lines(cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -400,7 +368,7 @@ def cmd_longtime(cfg, out_dir, jobs=1, json_flag=False, artifacts=None,
 
     barrier_rows = []
     verdicts_ok = True
-    for eps in (epsilon, 2.0 * epsilon):
+    for eps in (block["epsilon"], 2.0 * block["epsilon"]):
         for side, check, runs in (
             ("upper", asymptotics.barrier_check_upper, state_runs),
             ("lower", asymptotics.barrier_check_lower, periodic_runs),
@@ -439,25 +407,15 @@ def cmd_longtime(cfg, out_dir, jobs=1, json_flag=False, artifacts=None,
     return EXIT_PASS
 
 
-def cmd_oracle(cfg, out_dir, json_flag=False):
-    problem = build_problem(cfg)
+def cmd_oracle(cfg, problem, scheme, out_dir, json_flag=False):
     if abs(problem.m - 2.0) > 1e-12:
         raise ConfigError(
             "the logarithmic-transform oracle is only valid for m = 2; "
             f"config has m = {problem.m}"
         )
-    scheme = build_scheme(cfg)
-    box = float(get_path(cfg, "oracle.box_half_width", default=8.0))
-    spacing = float(get_path(cfg, "oracle.spacing", default=0.025))
-    horizon = float(get_path(cfg, "oracle.horizon", default=5.0))
-    if horizon < 1.0:
-        # the transform slope compares the fields at horizon - 1 and horizon
-        raise ConfigError(f"oracle.horizon must be at least 1, got {horizon:g}")
-    window = float(get_path(cfg, "oracle.window_half_width", default=2.0))
-    eig_tol = _positive(cfg, "oracle.eigen_tolerance", 0.05)
-    field_tol = _positive(cfg, "oracle.field_tolerance", 0.05)
-    slope_tol = _positive(cfg, "oracle.slope_tolerance", 0.02)
-
+    block = cfg["oracle"]
+    box, spacing, horizon = block["box_half_width"], block["spacing"], block["horizon"]
+    window = block["window_half_width"]
     grid = make_grid("box", box, spacing, problem.dim)
     f = sample(problem.source, grid)
     eig, info = reference.hopf_cole_eigenvalue(f)
@@ -468,7 +426,7 @@ def cmd_oracle(cfg, out_dir, json_flag=False):
             sc.constant,
             eig,
             abs(sc.constant - eig),
-            eig_tol,
+            block["eigen_tolerance"],
         )
     ]
     u0 = sample(problem.initial, grid)
@@ -477,7 +435,7 @@ def cmd_oracle(cfg, out_dir, json_flag=False):
     )
     state = evolve(
         problem, grid, horizon, scheme,
-        initial=u0, blow_up_cap=_blow_up_cap(cfg),
+        initial=u0, blow_up_cap=cfg["scheme"]["blow_up_cap"],
     )
     non_k = restrict(state.u, window)
     rows.append(
@@ -486,11 +444,12 @@ def cmd_oracle(cfg, out_dir, json_flag=False):
             float(np.max(non_k.values)),
             float(np.max(lin_k.values)),
             sup_norm_diff(lin_k, non_k),
-            field_tol,
+            block["field_tolerance"],
         )
     )
     slope = float(np.mean(lin_k.values) - np.mean(prev_k.values))
-    rows.append(("transform_slope_vs_eigenvalue", slope, eig, abs(slope - eig), slope_tol))
+    rows.append(("transform_slope_vs_eigenvalue", slope, eig, abs(slope - eig),
+                 block["slope_tolerance"]))
 
     header = resolved_lines(cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -520,24 +479,19 @@ def _transform_route(route):
     return f"forward-Euler march, {route['steps']} steps of dt {route['dt']!r}"
 
 
-def cmd_all(cfg, out_dir, jobs=1, json_flag=False, allow_partial=False):
-    codes = [cmd_validate(cfg, os.path.join(out_dir, "validate"), json_flag)]
-    codes.append(
-        cmd_ergodic(cfg, os.path.join(out_dir, "ergodic"), jobs, allow_partial)
-    )
-    codes.append(
-        cmd_longtime(
-            cfg,
-            os.path.join(out_dir, "longtime"),
-            jobs,
-            json_flag,
-            artifacts=os.path.join(out_dir, "ergodic"),
-            allow_partial=allow_partial,
-        )
-    )
-    problem = build_problem(cfg)
+def cmd_all(cfg, problem, scheme, out_dir, jobs=1, json_flag=False,
+            allow_partial=False):
+    def sub(name):
+        return os.path.join(out_dir, name)
+
+    codes = [
+        cmd_validate(cfg, problem, sub("validate"), json_flag),
+        cmd_ergodic(cfg, problem, sub("ergodic"), jobs, allow_partial),
+        cmd_longtime(cfg, problem, scheme, sub("longtime"), jobs, json_flag,
+                     sub("ergodic"), allow_partial),
+    ]
     if abs(problem.m - 2.0) <= 1e-12:
-        codes.append(cmd_oracle(cfg, os.path.join(out_dir, "oracle"), json_flag))
+        codes.append(cmd_oracle(cfg, problem, scheme, sub("oracle"), json_flag))
     return max(codes)
 
 
@@ -573,22 +527,21 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+        # the library's own input checks fire here too, before the first solve
+        require(cfg, COMMAND_BLOCKS[args.command])
+        problem = build_problem(cfg)
+        scheme = SchemeConfig(cfl_safety=cfg["scheme"]["cfl_safety"])
         if args.command == "validate":
-            return cmd_validate(cfg, args.out, args.json)
+            return cmd_validate(cfg, problem, args.out, args.json)
         if args.command == "ergodic":
-            return cmd_ergodic(cfg, args.out, args.jobs, args.allow_partial)
+            return cmd_ergodic(cfg, problem, args.out, args.jobs, args.allow_partial)
         if args.command == "longtime":
-            return cmd_longtime(
-                cfg,
-                args.out,
-                args.jobs,
-                args.json,
-                artifacts=args.artifacts,
-                allow_partial=args.allow_partial,
-            )
+            return cmd_longtime(cfg, problem, scheme, args.out, args.jobs, args.json,
+                                args.artifacts, args.allow_partial)
         if args.command == "oracle":
-            return cmd_oracle(cfg, args.out, args.json)
-        return cmd_all(cfg, args.out, args.jobs, args.json, args.allow_partial)
+            return cmd_oracle(cfg, problem, scheme, args.out, args.json)
+        return cmd_all(cfg, problem, scheme, args.out, args.jobs, args.json,
+                       args.allow_partial)
     except (ConfigError, AlignmentError, TableRangeError, CoercivityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,6 +1,7 @@
 """CLI: config parsing, commands, exit codes, deterministic outputs."""
 
 import filecmp
+import glob
 import json
 import os
 import runpy
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from ergodic_hj.cli import main
-from ergodic_hj.config import emit_config, parse_config
+from ergodic_hj.config import emit_config, load_config, parse_config
 
 QUICK = """\
 problem:
@@ -184,7 +185,7 @@ def test_summary_json_mirrors_summary_txt(quick_cfg, tmp_path):
     for cmd in ("validate", "ergodic", "longtime", "oracle"):
         text = (out / cmd / "summary.json").read_text()
         payload = json.loads(text, parse_constant=_reject_constant)
-        assert payload.pop("config") == parse_config(QUICK)
+        assert payload.pop("config") == load_config(quick_cfg)  # resolved
         # one line per pair, one per item of a list, in the JSON's key order
         expected = [
             f"{key}: {_text_rule(item)}"
@@ -194,11 +195,12 @@ def test_summary_json_mirrors_summary_txt(quick_cfg, tmp_path):
         assert expected == _report_lines(out / cmd / "summary.txt"), cmd
 
 
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
 def _perfbench(name):
     """Globals of a perfbench script, loaded by path (it is not a package)."""
-    return runpy.run_path(
-        os.path.join(os.path.dirname(__file__), "..", "perfbench", f"{name}.py")
-    )
+    return runpy.run_path(os.path.join(PERFBENCH, f"{name}.py"))
 
 
 def test_benchmark_reader_finds_every_check(quick_cfg, tmp_path):
@@ -508,6 +510,85 @@ def test_nonpositive_margin_or_tolerance_is_config_error(tmp_path, capsys, key, 
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("alpha: 2.0", "alpah: 1.5", "unknown config key 'problem.source.alpah'; "
+         "did you mean 'problem.source.alpha'?"),
+        ("\n  tolerance: 0.05", "\n  tolerence: 1e-9", "unknown config key "
+         "'longtime.tolerence'; did you mean 'longtime.tolerance'?"),
+        ("seed: 0\n", "seed: 0\nlongtime:\n  tolerance: 1e-9\n",
+         "line 31: config key 'longtime' repeated"),
+        ("epsilon: 0.1", "epsilon: 0.1\n  epsilon: 0.2",
+         "line 22: config key 'longtime.epsilon' repeated"),
+        ("dim: 1\n", "dim: 1.5\n", "problem.dim must be an integer, got 1.5"),
+        ("ladder: [3.0, 5.0]", "ladder: 4.0",
+         "ergodic.ladder must be a list of numbers, got 4.0"),
+        ("m: 2.0", "m: two", "problem.m must be a number, got 'two'"),
+        ("eigen_tolerance: 0.05", "eigen_tolerance: -1.0",
+         "oracle.eigen_tolerance must be positive, got -1.0"),
+        ("slope_tolerance: 0.02", "slope_tolerance: 0.0",
+         "oracle.slope_tolerance must be positive, got 0.0"),
+        ("horizon: 3.0", "horizon: 0.5", "oracle.horizon must be at least 1, got 0.5"),
+    ],
+    ids=["typo", "typo_tolerance", "repeated_block", "repeated_key", "dim_fraction",
+         "ladder_scalar", "m_word", "eigen_tolerance", "slope_tolerance",
+         "oracle_horizon"],
+)
+def test_config_fault_exits_two_before_any_command(tmp_path, capsys, old, new, message):
+    # the whole config is checked before the first command: one line, no output
+    cfg = _quick_variant(tmp_path, (old, new))
+    out = tmp_path / "all"
+    assert main(["all", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_longtime_rejects_another_problems_artifacts(quick_cfg, tmp_path, capsys):
+    # ergodic runs of f = |x|^1.5 at m = 1.5 must not certify the m = 2 flow
+    other = _quick_variant(tmp_path, ("m: 2.0", "m: 1.5"), ("alpha: 2.0", "alpha: 1.5"))
+    erg = tmp_path / "erg"
+    assert main(["ergodic", "--config", other, "--out", str(erg)]) == 0
+    out = tmp_path / "lt"
+    args = ["--config", quick_cfg, "--out", str(out), "--artifacts", str(erg)]
+    assert main(["longtime"] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "problem.m = 1.5" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_every_shipped_config_loads(tmp_path):
+    # the benchmark's configs (read in place) and the tests' own: retired
+    # keys such as min_time and max_time load and drop out
+    from test_acceptance import DETERMINISM_CFG
+
+    configs = sorted(glob.glob(os.path.join(PERFBENCH, "configs", "*.cfg")))
+    assert configs
+    for name, text in (("quick", QUICK), ("determinism", DETERMINISM_CFG)):
+        (tmp_path / f"{name}.cfg").write_text(text)
+        configs.append(str(tmp_path / f"{name}.cfg"))
+    for path in configs:
+        cfg = load_config(path)
+        assert "min_time" not in cfg["ergodic"] and "max_time" not in cfg["ergodic"]
+        # load_artifacts reads a report header back the same way
+        assert parse_config(emit_config(cfg)) == cfg, path
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    from ergodic_hj.config import REQUIRED, RETIRED, SCHEMA, TYPES
+
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    for key, (kind, default, _) in SCHEMA.items():
+        shown = "required" if default is REQUIRED else "unset" if default is None else default
+        what = TYPES[kind][0].split(" ", 1)[1]
+        assert f"| `{key}` | {what} | {shown} |" in text, key
+    for key in RETIRED:
+        assert f"`{key}`" in text, key
 
 
 def test_validate_csv_cells_are_plain_floats(quick_cfg, tmp_path):
