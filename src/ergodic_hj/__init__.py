@@ -9,7 +9,6 @@ from .asymptotics import (
     barrier_check_lower,
     barrier_check_upper,
     estimate_c_hat,
-    pick_reference_time,
     run_large_time,
 )
 from .ergodic import (

@@ -6,16 +6,20 @@ between the shifted evolution and the profile; a flatness certificate
 (max - min over the window) guards against the mean masking divergence.
 ``_window_stats`` is the one place these window statistics are computed.
 
-The barrier checks rebuild, on the grid, the super- and subsolution bounds
-used to squeeze the shifted evolution: a scaled state-constraint profile
-drifting upward, and a scaled periodic profile drifting downward.  A verdict
-is a function of the ``LargeTimeReport`` it certifies, which supplies
-lambda* and c_hat.  Both sides run one body with a sign s = +1 (upper) or -1
-(lower), which verifies the defining inequality of the barrier (the scheme's
-upwind residual, ``kernels.Plan.residual``), its initial-time domination,
-and domination at every later snapshot; each margin is min s*(barrier - v).
-The public checks keep only what differs between the sides: the run kind and
-scale clamp, the source, the initial window and the offset.
+The evolution runs on the grid of one state-constraint pair (lambda*, phi)
+and subtracts that pair, so u - lambda* t - phi tends to a single constant;
+the ``LargeTimeReport`` carries the pair.  The barrier checks rebuild, on
+the grid, the super- and subsolution bounds used to squeeze the shifted
+evolution: a scaled state-constraint profile drifting upward, and a scaled
+periodic profile drifting downward.  A verdict is a function of the report
+it certifies, which supplies lambda*, phi and c_hat.  Both sides run one
+body with a sign s = +1 (upper) or -1 (lower), which verifies the defining
+inequality of the barrier (the scheme's upwind residual,
+``kernels.Plan.residual``), its initial-time domination from a reference
+time the body picks on that check's window, and domination at every later
+snapshot; each margin is min s*(barrier - v).  The public checks keep only
+what differs between the sides: the run kind and scale clamp, the source,
+the initial window and the offset.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .grid import (
     grids_aligned,
     grids_equal,
     interior_values,
-    make_grid,
     restrict,
     sample,
 )
@@ -62,6 +65,7 @@ class LargeTimeHistoryRow:
 @dataclass
 class LargeTimeReport:
     lambda_star_used: float
+    profile: GridFunction  # phi of the pair subtracted, on the evolved grid
     c_hat: float
     window_half_width: float
     history: list
@@ -92,11 +96,8 @@ def _window_stats(v, phi):
 
 def run_large_time(
     problem: ProblemSpec,
-    lambda_star: float,
-    phi: GridFunction,
+    run: ErgodicApprox,
     T: float,
-    box_half_width: float,
-    spacing: float,
     scheme: SchemeConfig | None = None,
     *,
     window_half_width: float = 2.0,
@@ -104,24 +105,27 @@ def run_large_time(
     initial: GridFunction | None = None,
     blow_up_cap: float = 1e3,
 ) -> LargeTimeReport:
-    """Evolve on a large box and track sup_K |u - lambda*t - phi - c(t)|.
+    """Evolve on the run's box and track sup_K |u - lambda*t - phi - c(t)|.
 
-    The box must dominate the window (half-width >= 4x) so truncation effects
-    stay clear of the report region over the horizon.  The profile is
-    renormalized to have zero minimum on the window.  Convergence requires the
-    final error below tol and no growth across the last quarter of samples.
+    (lambda*, phi) is the state-constraint pair ``run``, whose grid is the
+    one evolved.  The box must dominate the window (half-width >= 4x) so
+    truncation effects stay clear of the report region over the horizon.
+    The profile is renormalized to have zero minimum on the window.
+    Convergence requires the final error below tol and no growth across the
+    last quarter of samples.
     """
     if T <= 0:
         raise ConfigError("horizon T must be positive (empty history otherwise)")
-    if box_half_width < 4.0 * window_half_width:
+    if run.kind != "state_constraint":
+        raise ConfigError("the large-time evolution needs a state-constraint run")
+    lambda_star, phi = run.constant, run.profile
+    grid = phi.grid
+    if grid.half_width < 4.0 * window_half_width:
         raise ConfigError(
             "evolution box must be at least 4x the report window "
-            f"({box_half_width} < 4*{window_half_width})"
+            f"({grid.half_width} < 4*{window_half_width})"
         )
     scheme = scheme or SchemeConfig()
-    grid = make_grid("box", box_half_width, spacing, problem.dim)
-    if not grids_aligned(grid, phi.grid):
-        raise ConfigError("profile grid spacing must match the run grid")
     phi_k = restrict(phi, window_half_width)
     phi_k = GridFunction(phi_k.grid, phi_k.values - float(np.min(phi_k.values)))
 
@@ -158,6 +162,7 @@ def run_large_time(
     ]
     return LargeTimeReport(
         lambda_star_used=lambda_star,
+        profile=phi,
         c_hat=final.c_of_t,
         window_half_width=window_half_width,
         history=rows,
@@ -166,23 +171,6 @@ def run_large_time(
         final_flatness=final.flatness,
         snapshots=v_snapshots,
         trace=state.trace,
-    )
-
-
-def pick_reference_time(report: LargeTimeReport, epsilon: float):
-    """First snapshot time whose flatness certificate is below epsilon/2."""
-    return report.snapshots[_reference_index(report, epsilon)][0]
-
-
-def _reference_index(report: LargeTimeReport, epsilon: float) -> int:
-    """Index of that snapshot; a snapshot's history row is the one at its t."""
-    flat_by_time = {round(r.t, 9): r.flatness for r in report.history}
-    for k, (t, _) in enumerate(report.snapshots):
-        f = flat_by_time.get(round(t, 9))
-        if f is not None and f < 0.5 * epsilon:
-            return k
-    raise ConfigError(
-        f"no snapshot reached flatness below {0.5 * epsilon}; extend the horizon"
     )
 
 
@@ -205,7 +193,6 @@ class BarrierVerdict:
 
 def barrier_check_upper(
     phi_r_run: ErgodicApprox,
-    phi: GridFunction,
     epsilon: float,
     report: LargeTimeReport,
     problem: ProblemSpec,
@@ -220,22 +207,19 @@ def barrier_check_upper(
     snapshot.  The offset min(mu*phi_R - phi) is reported; it must tend to
     zero along the box ladder.
     """
-    k = _reference_snapshot(
-        "upper", phi_r_run, "state_constraint", phi, epsilon, report
-    )
+    _check_inputs("upper", phi_r_run, "state_constraint", epsilon, report)
     prof = phi_r_run.profile
     return _barrier_verdict(
-        "upper", phi_r_run, phi, epsilon, k, report, problem.m, resolution_constant,
+        "upper", phi_r_run, epsilon, report, problem.m, resolution_constant,
         scale=max(1.0 + phi_r_run.constant - report.lambda_star_used, 1.0),
         source=sample(problem.source, prof.grid).values,
-        init_w=min(prof.grid.half_width, phi.grid.half_width),
+        init_w=min(prof.grid.half_width, report.profile.grid.half_width),
         offset=lambda m_r: max(-m_r, 0.0),
     )
 
 
 def barrier_check_lower(
     psi_run: ErgodicApprox,
-    phi: GridFunction,
     epsilon: float,
     report: LargeTimeReport,
     problem: ProblemSpec,
@@ -251,7 +235,7 @@ def barrier_check_lower(
     periodic constant sitting above the ergodic constant signals inconsistent
     brackets); small overshoots clamp to 1.
     """
-    k = _reference_snapshot("lower", psi_run, "periodic", phi, epsilon, report)
+    _check_inputs("lower", psi_run, "periodic", epsilon, report)
     lambda_star = report.lambda_star_used
     gamma = 1.0 + psi_run.constant - lambda_star
     if gamma > 1.0 + GAMMA_TOL:
@@ -261,9 +245,9 @@ def barrier_check_lower(
         )
     psi = psi_run.profile
     h = psi.grid.spacing
-    cell_w = min(psi.grid.half_width - h, phi.grid.half_width)
+    cell_w = min(psi.grid.half_width - h, report.profile.grid.half_width)
     return _barrier_verdict(
-        "lower", psi_run, phi, epsilon, k, report, problem.m, resolution_constant,
+        "lower", psi_run, epsilon, report, problem.m, resolution_constant,
         scale=min(gamma, 1.0),
         source=np.minimum(sample(problem.source, psi.grid).values, psi_run.cutoff),
         init_w=int(round(cell_w / h)) * h,
@@ -271,37 +255,43 @@ def barrier_check_lower(
     )
 
 
-def _reference_snapshot(side, run, kind, phi, epsilon, report):
-    """Validate the inputs both barrier checks share, then index t_ref."""
+def _check_inputs(side, run, kind, epsilon, report):
+    """Validate the inputs both barrier checks share."""
     if epsilon <= 0:
         raise ConfigError("barrier margin epsilon must be positive")
     if run.kind != kind:
         raise ConfigError(f"{side} barrier needs a {kind.replace('_', '-')} run")
-    k = _reference_index(report, epsilon)
-    if not grids_aligned(run.profile.grid, phi.grid):
+    if not grids_aligned(run.profile.grid, report.profile.grid):
         raise ConfigError("profile grids must share a spacing")
-    return k
 
 
 def _barrier_verdict(
-    side, run, phi, epsilon, k, report, m, resolution_constant,
+    side, run, epsilon, report, m, resolution_constant,
     *, scale, source, init_w, offset,
 ) -> BarrierVerdict:
     """Checks (a)-(c) for either side, with s = +1 (upper) or -1 (lower).
 
     The barrier is scale*profile + c_hat + s*eps + offset + drift*(t - t_ref),
-    drift = scale*constant - lambda*, with lambda* and c_hat read from the
-    report and t_ref the time of its snapshot k.  ``restrict`` puts the
-    profile on a box window (wrapping on a torus), and (b) uses the window of
-    half-width ``init_w``.  ``offset`` maps the gap min s*(scale*profile - phi)
-    on that window to the lift.
+    drift = scale*constant - lambda*, with lambda*, phi and c_hat read from
+    the report.  ``restrict`` puts the profile on a box window (wrapping on a
+    torus), and (b) uses the window of half-width ``init_w``; t_ref is the
+    first snapshot at which v - phi is flat to below eps/2 on that window.
+    ``offset`` maps the gap min s*(scale*profile - phi) on that window to
+    the lift.
     Every margin is min s*(barrier - v), so it is nonnegative when the
     barrier lies on its side of v.  Products are taken before the difference
     (s*a - s*b) so that an exact tie yields +0.0 on both sides.
     """
     s = 1.0 if side == "upper" else -1.0
-    lambda_star, c_hat = report.lambda_star_used, report.c_hat
-    t_ref, v_ref = report.snapshots[k]
+    lambda_star, phi, c_hat = report.lambda_star_used, report.profile, report.c_hat
+    phi_0 = restrict(phi, init_w).values
+    for k, (t_ref, v_ref) in enumerate(report.snapshots):
+        if _window_stats(restrict(v_ref, init_w).values, phi_0)[2] < 0.5 * epsilon:
+            break
+    else:
+        raise ConfigError(
+            f"no snapshot reached flatness below {0.5 * epsilon}; extend the horizon"
+        )
     prof = run.profile
     drift = scale * run.constant - lambda_star
     scaled = GridFunction(prof.grid, scale * prof.values)

@@ -53,6 +53,7 @@ from .grid import (
     Grid,
     GridFunction,
     export_csv,
+    grids_equal,
     import_table,
     make_grid,
     read_table,
@@ -324,7 +325,6 @@ def cmd_ergodic(cfg, problem, out_dir, jobs=1, allow_partial=False):
 def cmd_longtime(cfg, problem, scheme, out_dir, jobs=1, json_flag=False,
                  artifacts=None, allow_partial=False):
     block = cfg["longtime"]
-    box = block["box_half_width"]
     if artifacts:
         runs = load_artifacts(artifacts, cfg)
         state_runs = [r for r in runs if r.kind == "state_constraint"]
@@ -333,23 +333,19 @@ def cmd_longtime(cfg, problem, scheme, out_dir, jobs=1, json_flag=False,
             raise ConfigError(f"artifacts in {artifacts} hold no state-constraint runs")
     else:
         state_runs, periodic_runs, _ = run_ergodic_ladder(cfg, problem, jobs)
-    R_max = max(r.half_width for r in state_runs)
-    if box < R_max:
-        # the upper barrier compares each state profile on its whole box
-        raise ConfigError(
-            f"longtime.box_half_width {box:g} is smaller than the largest "
-            f"ladder half-width {R_max:g}"
-        )
     est = ergodic.estimate_lambda_star(state_runs, periodic_runs)
-    phi_ref = max(state_runs, key=lambda r: r.half_width).profile
+    # the certificate subtracts the pair of the grid it evolves: the ladder
+    # rung on that grid, else one solve on the box
+    box, spacing = block["box_half_width"], block["spacing"]
+    grid = make_grid("box", box, spacing, problem.dim)
+    evolved = next((r for r in state_runs if grids_equal(r.profile.grid, grid)), None)
+    if evolved is None:
+        evolved = ergodic.solve_state_constraint(problem, box, spacing)
 
     report = asymptotics.run_large_time(
         problem,
-        est.value,
-        phi_ref,
+        evolved,
         block["horizon"],
-        box,
-        block["spacing"],
         scheme,
         window_half_width=block["window_half_width"],
         tol=block["tolerance"],
@@ -375,7 +371,7 @@ def cmd_longtime(cfg, problem, scheme, out_dir, jobs=1, json_flag=False,
         ):
             for run in runs:
                 try:
-                    v = check(run, phi_ref, eps, report, problem)
+                    v = check(run, eps, report, problem)
                 except ConfigError as exc:
                     barrier_rows.append((side, eps) + (None,) * 7 + (f"error: {exc}",))
                     verdicts_ok = False
@@ -395,6 +391,7 @@ def cmd_longtime(cfg, problem, scheme, out_dir, jobs=1, json_flag=False,
     )
     _write_summary(out_dir, cfg, header, "large-time report", [
         ("lambda_star_used", report.lambda_star_used),
+        ("ladder_estimate", est.value),
         ("c_hat", report.c_hat),
         ("final_sup_error", report.final_sup_error),
         ("final_flatness", report.final_flatness),
@@ -529,6 +526,15 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         # the library's own input checks fire here too, before the first solve
         require(cfg, COMMAND_BLOCKS[args.command])
+        if "longtime" in COMMAND_BLOCKS[args.command]:
+            box = cfg["longtime"]["box_half_width"]
+            R_max = max(cfg["ergodic"]["ladder"])
+            if box < R_max:
+                # the upper barrier compares each state profile on its whole box
+                raise ConfigError(
+                    f"longtime.box_half_width {box:g} is smaller than the largest "
+                    f"ladder half-width {R_max:g}"
+                )
         problem = build_problem(cfg)
         scheme = SchemeConfig(cfl_safety=cfg["scheme"]["cfl_safety"])
         if args.command == "validate":

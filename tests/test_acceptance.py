@@ -91,12 +91,9 @@ def estimate_2d(ladder_2d, periodic_2d):
 
 
 @pytest.fixture(scope="module")
-def longtime_osc(osc1d, ladder_1d, estimate_1d):
-    phi_ref = ladder_1d[-1].profile
-    report = e.run_large_time(
-        osc1d, estimate_1d.value, phi_ref, 20.0, 16.0, H1D, window_half_width=2.0
-    )
-    return report
+def longtime_osc(osc1d, ladder_1d):
+    # evolved on the R = 16 rung's box, subtracting that rung's pair
+    return e.run_large_time(osc1d, ladder_1d[-1], 20.0, window_half_width=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -172,9 +169,7 @@ def test_criterion_04_large_time_convergence(longtime_osc, manufactured_ladders)
         and rep.final_flatness <= 0.1
     )
     p, runs, per, est = manufactured_ladders[1.5]
-    rep15 = e.run_large_time(
-        p, est.value, runs[1].profile, 20.0, 8.0, H1D, window_half_width=2.0
-    )
+    rep15 = e.run_large_time(p, runs[1], 20.0, window_half_width=2.0)
     manu_ok = rep15.converged and rep15.final_sup_error <= 0.05 and rep15.final_flatness <= 0.1
     _announce(
         4,
@@ -185,10 +180,10 @@ def test_criterion_04_large_time_convergence(longtime_osc, manufactured_ladders)
 
 
 def test_criterion_05_initial_data_independence(osc1d, ladder_1d, estimate_1d):
-    phi_ref = ladder_1d[-1].profile
-    lam = estimate_1d.value
-    g8 = e.make_grid("box", 8.0, H1D, 1)
-    phi8 = e.restrict(phi_ref, 8.0)
+    run8 = ladder_1d[1]  # evolved on the R = 8 rung's box, subtracting its pair
+    lam = run8.constant
+    g8 = run8.profile.grid
+    phi8 = run8.profile
     starts = {
         "zero": None,
         "phi": e.GridFunction(phi8.grid, phi8.values.copy()),
@@ -196,9 +191,7 @@ def test_criterion_05_initial_data_independence(osc1d, ladder_1d, estimate_1d):
         "bump": e.sample(e.InitialSpec("bump", amplitude=1.0, width=1.0), g8),
     }
     reports = {
-        name: e.run_large_time(
-            osc1d, lam, phi_ref, 20.0, 8.0, H1D, window_half_width=2.0, initial=u0
-        )
+        name: e.run_large_time(osc1d, run8, 20.0, window_half_width=2.0, initial=u0)
         for name, u0 in starts.items()
     }
     # same growth rate: final window slopes within the bracket gap (or 1e-3,
@@ -234,9 +227,8 @@ def test_criterion_05_initial_data_independence(osc1d, ladder_1d, estimate_1d):
 
 
 def test_criterion_06_barrier_suite(
-    osc1d, ladder_1d, periodic_1d, estimate_1d, longtime_osc, resolution_constant
+    osc1d, ladder_1d, periodic_1d, longtime_osc, resolution_constant
 ):
-    phi_ref = ladder_1d[-1].profile
     rep = longtime_osc
     ok = True
     details = []
@@ -244,7 +236,6 @@ def test_criterion_06_barrier_suite(
     for run in ladder_1d:
         v = barrier_check_upper(
             run,
-            phi_ref,
             0.1,
             rep,
             osc1d,
@@ -260,7 +251,6 @@ def test_criterion_06_barrier_suite(
     for run in periodic_1d:
         v = barrier_check_lower(
             run,
-            phi_ref,
             0.1,
             rep,
             osc1d,

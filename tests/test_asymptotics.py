@@ -1,5 +1,7 @@
 """Large-time reports, the offset estimate, and the barrier checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from ergodic_hj import (
     barrier_check_lower,
     barrier_check_upper,
     estimate_c_hat,
-    estimate_lambda_star,
     make_grid,
     restrict,
     run_large_time,
@@ -21,7 +22,7 @@ from ergodic_hj import (
     solve_periodic,
     solve_state_constraint,
 )
-from ergodic_hj.asymptotics import LargeTimeHistoryRow, pick_reference_time
+from ergodic_hj.asymptotics import LargeTimeHistoryRow
 
 
 @pytest.fixture(scope="module")
@@ -38,13 +39,8 @@ def osc_runs(oscillator):
 
 @pytest.fixture(scope="module")
 def osc_report(oscillator, osc_runs):
-    runs, per = osc_runs
-    est = estimate_lambda_star(runs, [per])
-    phi_ref = runs[-1].profile
-    report = run_large_time(
-        oscillator, est.value, phi_ref, 14.0, 8.0, 0.05, window_half_width=2.0
-    )
-    return est, phi_ref, report
+    runs, _ = osc_runs
+    return run_large_time(oscillator, runs[-1], 14.0, window_half_width=2.0)
 
 
 def test_estimate_c_hat_examples():
@@ -73,8 +69,8 @@ def test_estimate_c_hat_with_noise():
 def test_history_rows_are_estimate_c_hat_of_the_stored_windows(osc_report):
     # c(t) and the flatness of each row are estimate_c_hat of that sample's
     # window, shifted by lambda* t, against the renormalized profile
-    _, phi_ref, report = osc_report
-    phi_k = restrict(phi_ref, report.window_half_width)
+    report = osc_report
+    phi_k = restrict(report.profile, report.window_half_width)
     phi_k = GridFunction(phi_k.grid, phi_k.values - float(np.min(phi_k.values)))
     windows = [(t, uk) for t, uk in report.trace.window_snapshots if t > 0]
     assert len(windows) == len(report.history)
@@ -85,36 +81,31 @@ def test_history_rows_are_estimate_c_hat_of_the_stored_windows(osc_report):
 
 
 def test_large_time_converges_from_zero(osc_report):
-    _, _, report = osc_report
+    report = osc_report
     assert report.converged
     assert report.final_sup_error <= 0.05
     assert report.final_flatness <= 0.1
 
 
 def test_large_time_history_eventually_decreasing(osc_report):
-    _, _, report = osc_report
+    report = osc_report
     errs = [r.sup_error for r in report.history]
     tail = errs[-max(len(errs) // 4, 2) :]
     assert errs[-1] <= min(tail) + 1e-3
 
 
 def test_large_time_slope_error_small_at_horizon(osc_report):
-    _, _, report = osc_report
+    report = osc_report
     assert report.history[-1].slope_error < 0.05
 
 
 def test_stationary_start_flat_from_the_first_sample(oscillator, osc_runs):
     runs, _ = osc_runs
-    phi_ref = runs[-1].profile
-    phi8 = restrict(phi_ref, 8.0)
-    lam = runs[-1].constant
+    phi8 = runs[-1].profile
     report = run_large_time(
         oscillator,
-        lam,
-        phi_ref,
+        runs[-1],
         2.0,
-        8.0,
-        0.05,
         window_half_width=2.0,
         initial=GridFunction(phi8.grid, phi8.values.copy()),
         tol=0.05,
@@ -125,15 +116,13 @@ def test_stationary_start_flat_from_the_first_sample(oscillator, osc_runs):
 
 def test_shifted_start_shifts_offset_exactly(oscillator, osc_runs):
     runs, _ = osc_runs
-    phi_ref = runs[-1].profile
-    phi8 = restrict(phi_ref, 8.0)
-    lam = runs[-1].constant
+    phi8 = runs[-1].profile
     rep0 = run_large_time(
-        oscillator, lam, phi_ref, 2.0, 8.0, 0.05,
+        oscillator, runs[-1], 2.0,
         initial=GridFunction(phi8.grid, phi8.values.copy()),
     )
     rep5 = run_large_time(
-        oscillator, lam, phi_ref, 2.0, 8.0, 0.05,
+        oscillator, runs[-1], 2.0,
         initial=GridFunction(phi8.grid, phi8.values + 5.0),
     )
     assert rep5.c_hat - rep0.c_hat == pytest.approx(5.0, abs=1e-9)
@@ -143,42 +132,40 @@ def test_doubling_the_box_leaves_the_window_report_unchanged(oscillator, osc_run
     # validates the 4x box-to-window policy: truncation effects must not
     # reach the report region over the horizon
     runs, _ = osc_runs
-    phi_ref = runs[-1].profile
-    lam = runs[-1].constant
-    rep8 = run_large_time(oscillator, lam, phi_ref, 8.0, 8.0, 0.05, window_half_width=2.0)
-    rep16 = run_large_time(oscillator, lam, phi_ref, 8.0, 16.0, 0.05, window_half_width=2.0)
-    # the residual truncation effect is (lambda_8 - lambda_16) * T, orders of
-    # magnitude below the 0.05 report tolerance
+    run16 = solve_state_constraint(oscillator, 16.0, 0.05)
+    rep8 = run_large_time(oscillator, runs[-1], 8.0, window_half_width=2.0)
+    rep16 = run_large_time(oscillator, run16, 8.0, window_half_width=2.0)
+    # each box subtracts its own pair, whose window profiles differ by far
+    # less than the 0.05 report tolerance
     assert abs(rep8.c_hat - rep16.c_hat) < 1e-3
     assert abs(rep8.final_sup_error - rep16.final_sup_error) < 1e-3
 
 
 def test_box_must_dominate_window(oscillator, osc_runs):
-    runs, _ = osc_runs
+    runs, per = osc_runs
     with pytest.raises(ConfigError):
-        run_large_time(
-            oscillator, 1.0, runs[-1].profile, 5.0, 4.0, 0.05, window_half_width=2.0
-        )
+        run_large_time(oscillator, runs[0], 5.0, window_half_width=2.0)
+    # a torus has no box to evolve on
+    with pytest.raises(ConfigError, match="state-constraint run"):
+        run_large_time(oscillator, per, 5.0, window_half_width=0.5)
 
 
 def test_zero_horizon_rejected(oscillator, osc_runs):
     runs, _ = osc_runs
     with pytest.raises(ConfigError):
-        run_large_time(oscillator, 1.0, runs[-1].profile, 0.0, 8.0, 0.05)
+        run_large_time(oscillator, runs[-1], 0.0)
 
 
 def test_barrier_epsilon_must_be_positive(oscillator, osc_runs, osc_report):
     runs, per = osc_runs
-    _, phi_ref, report = osc_report
     with pytest.raises(ConfigError):
-        barrier_check_upper(runs[0], phi_ref, 0.0, report, oscillator)
+        barrier_check_upper(runs[0], 0.0, osc_report, oscillator)
 
 
 def test_upper_barrier_oscillator(oscillator, osc_runs, osc_report):
     runs, _ = osc_runs
-    _, phi_ref, report = osc_report
     for run in runs:
-        v = barrier_check_upper(run, phi_ref, 0.1, report, oscillator)
+        v = barrier_check_upper(run, 0.1, osc_report, oscillator)
         assert v.passed, vars(v)
         assert v.mu_or_gamma >= 1.0
         # domination margins carry most of the epsilon cushion
@@ -188,39 +175,48 @@ def test_upper_barrier_oscillator(oscillator, osc_runs, osc_report):
 
 def test_lower_barrier_oscillator(oscillator, osc_runs, osc_report):
     _, per = osc_runs
-    _, phi_ref, report = osc_report
-    v = barrier_check_lower(per, phi_ref, 0.1, report, oscillator)
+    v = barrier_check_lower(per, 0.1, osc_report, oscillator)
     assert v.passed, vars(v)
     assert v.mu_or_gamma <= 1.0
 
 
 def test_barrier_kind_mismatch_rejected(oscillator, osc_runs, osc_report):
     runs, per = osc_runs
-    _, phi_ref, report = osc_report
     with pytest.raises(ConfigError):
-        barrier_check_upper(per, phi_ref, 0.1, report, oscillator)
+        barrier_check_upper(per, 0.1, osc_report, oscillator)
     with pytest.raises(ConfigError):
-        barrier_check_lower(runs[0], phi_ref, 0.1, report, oscillator)
+        barrier_check_lower(runs[0], 0.1, osc_report, oscillator)
 
 
-def test_reference_time_needs_flatness(oscillator, osc_report):
-    _, _, report = osc_report
-    t_ref = pick_reference_time(report, 0.1)
-    assert t_ref <= report.history[-1].t
-    with pytest.raises(ConfigError):
-        pick_reference_time(report, -1.0)
+def test_reference_time_is_picked_on_the_initial_window(oscillator, osc_runs, osc_report):
+    # at t = 1 the report window |x| <= 2 is already flat to eps/2, but the
+    # windows check (b) compares on (the R = 4 box, the torus cell) are not:
+    # each barrier waits for its own window, and passes from t_ref = 2
+    runs, per = osc_runs
+    report = osc_report
+    eps = 0.2
+    row_1 = next(r for r in report.history if r.t == 1.0)
+    assert row_1.flatness < 0.5 * eps
+    up = barrier_check_upper(runs[0], eps, report, oscillator)
+    lo = barrier_check_lower(per, eps, report, oscillator)
+    assert up.t_ref == lo.t_ref == 2.0
+    assert up.passed and lo.passed
+    # with the snapshot at t = 1 alone, no snapshot is flat on the cell
+    early = dataclasses.replace(report, snapshots=report.snapshots[:1])
+    with pytest.raises(ConfigError, match="no snapshot reached flatness"):
+        barrier_check_lower(per, eps, early, oscillator)
 
 
 def test_sandwich_between_barriers(oscillator, osc_runs, osc_report):
     # once both barriers pass at (t_ref, eps), later snapshots sit inside
     # [phi + c - eps - tol, phi + c + eps + tol] on the window
     runs, per = osc_runs
-    _, phi_ref, report = osc_report
+    report = osc_report
     eps, tol = 0.1, 1e-2
-    up = barrier_check_upper(runs[-1], phi_ref, eps, report, oscillator)
-    lo = barrier_check_lower(per, phi_ref, eps, report, oscillator)
+    up = barrier_check_upper(runs[-1], eps, report, oscillator)
+    lo = barrier_check_lower(per, eps, report, oscillator)
     assert up.passed and lo.passed
-    phi_k = restrict(phi_ref, report.window_half_width)
+    phi_k = restrict(report.profile, report.window_half_width)
     phi_k_vals = phi_k.values - float(np.min(phi_k.values))
     t_ref = up.t_ref
     for t, v_snap in report.snapshots:
@@ -239,9 +235,10 @@ def test_barrier_margins_carry_their_sign(shift):
     #          barrier(t) = 7/8 + 9/16 (t - 1)
     #   lower: gamma = 3/4, drift = gamma^2 - 1 = -7/16, offset tilde_m = 1/8,
     #          barrier(t) = 3/8 - 7/16 (t - 1)
-    # v sits between them at t_ref = 1, above the upper one at t = 2 by 1/16,
-    # and every snapshot moves by `shift`: a shift down by 2 passes the upper
-    # check and fails the lower one
+    # v - phi is flat to 3/32 < eps/2 at t = 1, so t_ref = 1 on both sides;
+    # v sits between the barriers there, above the upper one at t = 2 by
+    # 1/16, and every snapshot moves by `shift`: a shift down by 2 passes the
+    # upper check and fails the lower one
     problem = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
     box = make_grid("box", 1.0, 0.25, 1)
     torus = make_grid("torus", 2.0, 0.25, 1)
@@ -253,17 +250,15 @@ def test_barrier_margins_carry_their_sign(shift):
         "periodic", 2.0, 0.75, GridFunction(torus, np.zeros(torus.shape)),
         cutoff=2.25, **common,
     )
-    phi_grid = make_grid("box", 2.0, 0.25, 1)
-    phi = GridFunction(phi_grid, np.full(phi_grid.shape, 0.125))
-
     run_grid = make_grid("box", 4.0, 0.25, 1)
     x = run_grid.axis_coords()
     v1 = np.full(run_grid.shape, 0.625)
-    v1[x == 0.0] = 0.5  # the lowest node, nearest the lower barrier
-    v1[x == 0.5] = 0.6875  # the highest node, nearest the upper barrier
+    v1[x == 0.0] = 0.5625  # the lowest node, nearest the lower barrier
+    v1[x == 0.5] = 0.65625  # the highest node, nearest the upper barrier
     fields = {1.0: v1, 2.0: np.full(run_grid.shape, 1.5), 3.0: np.ones(run_grid.shape)}
     report = LargeTimeReport(
         lambda_star_used=1.0,
+        profile=GridFunction(run_grid, np.full(run_grid.shape, 0.125)),
         c_hat=0.5,
         window_half_width=1.0,
         history=[LargeTimeHistoryRow(t, 0.0, 0.0, 0.5, 0.0) for t in fields],
@@ -272,7 +267,7 @@ def test_barrier_margins_carry_their_sign(shift):
         final_flatness=0.0,
         snapshots=[(t, GridFunction(run_grid, v + shift)) for t, v in fields.items()],
     )
-    args = (phi, 0.25, report, problem)
+    args = (0.25, report, problem)
     up = barrier_check_upper(upper_run, *args)
     lo = barrier_check_lower(lower_run, *args)
     bound = 10.0 * 0.25 * 0.25 + 2e-3
@@ -282,7 +277,7 @@ def test_barrier_margins_carry_their_sign(shift):
     # the residual 9/16 - (x^2 - 1) on the interior of [-1, 1]: its minimum
     assert (up.residual_extreme, up.residual_ok) == (1.0, True)
     assert up.residual_bound == pytest.approx(-bound)
-    assert up.initial_domination_margin == 0.1875 - shift
+    assert up.initial_domination_margin == 0.21875 - shift
     assert up.later_domination_margin == -0.0625 - shift
     assert up.initial_ok
     assert up.later_ok == up.passed == (shift < 0)
@@ -292,6 +287,6 @@ def test_barrier_margins_carry_their_sign(shift):
     # the residual -7/16 - (min(x^2, 9/4) - 1) on the torus: its maximum
     assert (lo.residual_extreme, lo.residual_ok) == (0.5625, True)
     assert lo.residual_bound == pytest.approx(bound)
-    assert lo.initial_domination_margin == 0.125 + shift
+    assert lo.initial_domination_margin == 0.1875 + shift
     assert lo.later_domination_margin == 1.5 + shift
     assert lo.initial_ok == lo.later_ok == lo.passed == (shift == 0)

@@ -9,8 +9,10 @@ import runpy
 import numpy as np
 import pytest
 
-from ergodic_hj.cli import main
+from ergodic_hj import ergodic, solve_state_constraint
+from ergodic_hj.cli import build_problem, main
 from ergodic_hj.config import emit_config, load_config, parse_config
+from ergodic_hj.grid import grids_equal, make_grid, read_table
 
 QUICK = """\
 problem:
@@ -390,10 +392,56 @@ def test_longtime_box_narrower_than_ladder_is_config_error(tmp_path, capsys):
         ("cutoffs: [9.0]", "cutoffs: [8.0]"),
         ("box_half_width: 5.0\n  spacing: 0.1", "box_half_width: 6.0\n  spacing: 0.1"),
     )
-    code = main(["longtime", "--config", cfg, "--out", str(tmp_path / "lt")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "box_half_width 6" in err and "half-width 8" in err
+    # checked before any solve: `all` writes no validate/ or ergodic/ first
+    for command in ("longtime", "all"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: longtime.box_half_width 6 is smaller than the largest "
+            "ladder half-width 8\n"
+        )
+        assert not out.exists()
+
+
+def test_longtime_subtracts_the_pair_of_the_evolved_box(tmp_path, monkeypatch):
+    # m = 1.5 on the R = 8 rung's box: the ladder estimate is the R = 4
+    # constant, 2.2e-4 below the box's own, and subtracting it made c(t)
+    # drift by that much per time unit; with the box's own pair c(t) settles
+    cfg = _quick_variant(
+        tmp_path,
+        ("m: 2.0", "m: 1.5"),
+        ("alpha: 2.0", "alpha: 1.5"),
+        ("ladder: [3.0, 5.0]", "ladder: [4.0, 8.0]"),
+        ("cutoffs: [9.0]", "cutoffs: [16.0]"),
+        ("spacing: 0.1\n  max_time", "spacing: 0.05\n  max_time"),
+        ("horizon: 8.0\n  box_half_width: 5.0\n  spacing: 0.1",
+         "horizon: 12.0\n  box_half_width: 8.0\n  spacing: 0.05"),
+        ("window_half_width: 1.0", "window_half_width: 2.0"),
+    )
+    erg, out = tmp_path / "erg", tmp_path / "lt"
+    assert main(["ergodic", "--config", cfg, "--out", str(erg)]) == 0
+    # the box is a rung, so longtime reuses its pair and solves nothing
+    monkeypatch.setattr(ergodic, "solve_state_constraint", None)
+    args = ["--config", cfg, "--out", str(out), "--artifacts", str(erg), "--json"]
+    assert main(["longtime"] + args) == 0
+    rung = {float(r["half_width"]): float(r["constant"])
+            for r in read_table(erg / "runs.csv") if r["kind"] == "state_constraint"}
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["lambda_star_used"] == rung[8.0]
+    assert summary["ladder_estimate"] == rung[4.0] != rung[8.0]
+    c = {float(r["t"]): float(r["c_of_t"]) for r in read_table(out / "history.csv")}
+    assert abs(c[12.0] - c[11.0]) < 1e-8
+
+
+def test_longtime_box_off_the_ladder_solves_its_own_pair(tmp_path):
+    # box 6 is no rung of QUICK's ladder (3, 5): one solve on that box
+    cfg = _quick_variant(tmp_path, ("box_half_width: 5.0\n  spacing: 0.1",
+                                    "box_half_width: 6.0\n  spacing: 0.1"))
+    out = tmp_path / "lt"
+    assert main(["longtime", "--config", cfg, "--out", str(out), "--json"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    problem = build_problem(load_config(cfg))
+    assert summary["lambda_star_used"] == solve_state_constraint(problem, 6.0, 0.1).constant
 
 
 @pytest.mark.parametrize(
@@ -575,6 +623,16 @@ def test_every_shipped_config_loads(tmp_path):
         assert "min_time" not in cfg["ergodic"] and "max_time" not in cfg["ergodic"]
         # load_artifacts reads a report header back the same way
         assert parse_config(emit_config(cfg)) == cfg, path
+
+
+@pytest.mark.parametrize("name", ["all_1d_m2", "all_1d_m15", "smoke"])
+def test_benchmark_longtime_box_is_a_ladder_rung(name):
+    # then longtime reuses that rung's pair: no workload pays an extra solve
+    cfg = load_config(os.path.join(PERFBENCH, "configs", f"{name}.cfg"))
+    dim, lt, erg = cfg["problem"]["dim"], cfg["longtime"], cfg["ergodic"]
+    box = make_grid("box", lt["box_half_width"], lt["spacing"], dim)
+    rungs = [make_grid("box", R, erg["spacing"], dim) for R in erg["ladder"]]
+    assert any(grids_equal(box, g) for g in rungs)
 
 
 def test_readme_lists_every_config_key_with_its_default():

@@ -1,11 +1,23 @@
-"""Step kernels: the stencil matches a scalar reference, the gradient
-measure matches its box and torus definitions, and the names and calls the
-benchmark reads stay as they are."""
+"""Step kernels: the stencil matches a scalar reference, the 2D box flow at
+m = 2 separates into 1D flows, the gradient measure matches its box and
+torus definitions, and the names and calls the benchmark reads stay as they
+are."""
+
+import math
 
 import numpy as np
 import pytest
 
-from ergodic_hj import Grid, GridFunction, discrete_laplacian, kernels, numerical_hamiltonian
+from ergodic_hj import (
+    Grid,
+    GridFunction,
+    SchemeConfig,
+    cfl_timestep,
+    discrete_laplacian,
+    kernels,
+    make_grid,
+    numerical_hamiltonian,
+)
 
 
 def test_numpy_step_hand_checked_interior_node():
@@ -69,6 +81,23 @@ def test_vhj_step_2d_walls_corners_and_wraparound(kind):
         ham = numerical_hamiltonian(u, node, 2.0)
         expected = u.values[node] + 0.01 * (lap - ham + 1.0)
         assert out[node] == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("h", [0.16, 0.1])
+def test_2d_box_flow_at_m2_is_the_sum_of_two_1d_flows(h):
+    # at m = 2 the box stencil's Hamiltonian and Laplacian are sums over the
+    # axes, so with f = x^2 + y^2 the 2D state from zero data stays
+    # u1(x) + u1(y) to rounding; stepped at one shared dt to t = 2
+    g1, g2 = make_grid("box", 4.0, h, 1), make_grid("box", 4.0, h, 2)
+    x = g1.axis_coords()
+    f1, f2 = x**2, x[:, None] ** 2 + x[None, :] ** 2
+    dt = cfl_timestep(g2, SchemeConfig(), 2.0, 4.0)
+    u1, u2 = np.zeros(g1.shape), np.zeros(g2.shape)
+    for _ in range(math.ceil(2.0 / dt)):
+        u1 = kernels.vhj_step(u1, f1, dt, h, 2.0, False)
+        u2 = kernels.vhj_step(u2, f2, dt, h, 2.0, False)
+    assert np.max(u1) > 9.0
+    assert np.max(np.abs(u2 - (u1[:, None] + u1[None, :]))) < 1e-12
 
 
 def test_torus_wraparound():
