@@ -69,6 +69,7 @@ from .problem import (
     SourceSpec,
     h1_certificate,
     h2_certificate,
+    torus_half_width,
 )
 from .scheme import SchemeConfig
 
@@ -392,10 +393,14 @@ def cmd_longtime(cfg, problem, scheme, out_dir, jobs=1, json_flag=False,
     _write_summary(out_dir, cfg, header, "large-time report", [
         ("lambda_star_used", report.lambda_star_used),
         ("ladder_estimate", est.value),
+        ("truncation_gap", report.lambda_star_used - est.value),
         ("c_hat", report.c_hat),
         ("final_sup_error", report.final_sup_error),
         ("final_flatness", report.final_flatness),
         ("converged", report.converged),
+        ("fast_forward_from", report.fast_forward_from),
+        ("fast_forward_residual", report.fast_forward_residual),
+        ("fast_forward_bound", report.fast_forward_bound),
         ("barriers_all_passed", verdicts_ok),
     ], json_flag)
     ok = report.converged and verdicts_ok
@@ -492,6 +497,19 @@ def cmd_all(cfg, problem, scheme, out_dir, jobs=1, json_flag=False,
     return max(codes)
 
 
+def _check_torus_cells(cfg, problem):
+    """Each cutoff's torus cell must fit the spacing: checked before any solve."""
+    block = cfg["ergodic"]
+    for cutoff in block["cutoffs"]:
+        S = torus_half_width(problem.source, cutoff)
+        try:
+            make_grid("torus", S, block["spacing"], problem.dim)
+        except ConfigError as exc:
+            raise ConfigError(
+                f"ergodic.cutoffs {cutoff:g} gives a torus cell of half-width {S:g}: {exc}"
+            ) from exc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ergodic-hj",
@@ -536,6 +554,8 @@ def main(argv=None) -> int:
                     f"ladder half-width {R_max:g}"
                 )
         problem = build_problem(cfg)
+        if "ergodic" in COMMAND_BLOCKS[args.command]:
+            _check_torus_cells(cfg, problem)
         scheme = SchemeConfig(cfl_safety=cfg["scheme"]["cfl_safety"])
         if args.command == "validate":
             return cmd_validate(cfg, problem, args.out, args.json)

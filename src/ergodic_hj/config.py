@@ -42,13 +42,18 @@ CHECKS = {
     "positive": lambda v: v > 0,
     # the transform slope compares the fields at horizon - 1 and horizon
     "at least 1": lambda v: v >= 1.0,
+    # ProblemSpec and SchemeConfig check these too, for library callers;
+    # here the message names the key
+    "in (1, 2]": lambda v: 1.0 < v <= 2.0,
+    "1 or 2": lambda v: v in (1, 2),
+    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
 }
 
 #: dotted key -> (type, default, check).  A key whose default is None stays
 #: out of the resolved config when it is unset.
 SCHEMA = {
-    "problem.m": ("float", REQUIRED, None),
-    "problem.dim": ("int", 1, None),
+    "problem.m": ("float", REQUIRED, "in (1, 2]"),
+    "problem.dim": ("int", 1, "1 or 2"),
     "problem.source.family": ("str", REQUIRED, None),
     "problem.source.table_path": ("str", None, None),
     "problem.source.alpha": ("float", 2.0, None),
@@ -58,7 +63,7 @@ SCHEMA = {
     "problem.initial.table_path": ("str", None, None),
     "problem.initial.amplitude": ("float", 1.0, None),
     "problem.initial.width": ("float", 1.0, None),
-    "scheme.cfl_safety": ("float", 0.9, None),
+    "scheme.cfl_safety": ("float", 0.9, "in (0, 1]"),
     "scheme.blow_up_cap": ("float", 1e3, None),
     "validate.radii": ("floats", None, None),
     "ergodic.ladder": ("floats", REQUIRED, None),

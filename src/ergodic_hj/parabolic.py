@@ -5,6 +5,10 @@ only, which enforces the supersolution inequality at the wall without ghost
 values) or periodic (torus).  The time loop is sequential; each step is a
 parallel map over nodes done inside the kernels.
 
+Given the stationary constant of the evolved grid, the run stops stepping
+once it sits on the scheme's fixed point and writes the rest of the flow as
+u(t1) + lambda_h (t - t1), within a comparison bound (``evolve``).
+
 Diagnostics follow the run: the time slope of the window mean (whose limit is
 the ergodic constant), the largest one-sided gradient, and a 1/2-Hoelder
 quotient in time.  The gradient bound and the Hoelder quotient are the two
@@ -29,6 +33,8 @@ from .scheme import SchemeConfig, cfl_timestep
 REFRESH_STEPS = 100
 #: Hoelder quotients in the trace compare samples at most this far apart
 HOLDER_MAX_GAP = 1.0
+#: the run fast-forwards once delta (T - t1) is below this (see ``evolve``)
+FAST_FORWARD_BUDGET = 1e-9
 #: default time between two trace samples
 SAMPLE_INTERVAL = 0.25
 #: the trace's slope compares window means this far apart in time
@@ -41,7 +47,7 @@ class TraceSample:
     slope: float  # nan until one slope window has elapsed
     max_grad: float
     holder_q: float  # nan until two samples exist
-    dt: float  # the CFL step in force at the sample
+    dt: float | None  # the CFL step in force at the sample; None once fast-forwarded
 
 
 @dataclass
@@ -66,6 +72,20 @@ class EvolutionState:
     u: GridFunction
     trace: DiagnosticsTrace
     snapshots: list = field(default_factory=list)  # (t, GridFunction of u)
+    fast_forward_from: float | None = None  # t1, when the run fast-forwarded
+    fast_forward_residual: float | None = None  # delta = sup |residual| at t1
+
+
+def monotone_ratio(dt, q2_max, m, h, dim):
+    """dt (2N/h^2 + m sqrt(2N) q2^((m-1)/2) / h) for a state of max q2 ``q2_max``.
+
+    The step's coefficient on a node's own value is 1 - dt (2N/h^2 + dH/du),
+    and dH/du = m q2^(m/2-1) sum(a + b)/h is at most m sqrt(2N) q2^((m-1)/2)/h;
+    its neighbour coefficients are nonnegative.  So a ratio of at most 1 is
+    sufficient for the step of size dt to be monotone at that state.
+    """
+    grad = math.sqrt(2.0 * dim) * q2_max ** (0.5 * (m - 1.0))
+    return dt * (2.0 * dim / (h * h) + m * grad / h)
 
 
 def default_window_half_width(grid: Grid) -> float:
@@ -100,12 +120,24 @@ def evolve(
     window_half_width: float | None = None,
     blow_up_cap: float = 1e3,
     snapshot_times=(),
+    stationary_constant: float | None = None,
 ) -> EvolutionState:
     """March from t = 0 to time T with adaptive CFL steps, populating the trace.
 
     Each trace sample records the CFL step in force; the steps shortened to
     land on sample and snapshot times are not recorded.  At each of
     ``snapshot_times`` a full-domain copy of u goes to ``snapshots``.
+
+    With ``stationary_constant`` (lambda_h of this grid), each snapshot
+    t1 < T takes delta = sup |lambda_h - lap_h u + H_h(u) - f| over the
+    grid.  Once delta (T - t1) < ``FAST_FORWARD_BUDGET`` and the CFL step
+    in force is monotone at u(t1) (``monotone_ratio`` <= 1), no further step
+    is taken: every later sample and snapshot, and the result, are
+    v(t) = u(t1) + lambda_h (t - t1), and their trace ``dt`` is None.  The
+    step commutes with constants and is monotone, and it maps v to
+    v + dt (lambda_h - R) with |R| <= delta, so |u(t) - v(t)| <= delta
+    (t - t1) (Crandall & Lions, Math. Comp. 43, 1984).  t1 and delta go to
+    the state's ``fast_forward_from`` and ``fast_forward_residual``.
     """
     if T < 0:
         raise ConfigError("T must be nonnegative")
@@ -141,31 +173,37 @@ def evolve(
     next_sample = sample_interval
     target = _next_target(next_sample, next_snap, T)
     countdown = REFRESH_STEPS  # steps left until the CFL step is refreshed
+    t1 = delta = u1 = None  # the fast-forward's start, residual and u(t1)
     # a blow-up overflows to inf and nan; the finiteness checks report it in
     # one BlowUpError, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         while t < T - eps:
-            dt = min(dt_cfl, target - t)
-            kernels.vhj_step(u, fvals, dt, h, m, periodic, out)
-            u, out = out, u
-            t += dt
-            countdown -= 1
-            if not countdown:
-                countdown = REFRESH_STEPS
-                grad = kernels.max_onesided_gradient(u, inv_h, periodic)
-                if not math.isfinite(grad) and not np.all(np.isfinite(u)):
-                    _raise_nonfinite(u, t, grid)
-                if not math.isfinite(grad) or grad > blow_up_cap:
-                    raise BlowUpError(
-                        f"gradient guard fired at t={t:.6g}: measured {grad:.4g} "
-                        f"exceeds the cap {blow_up_cap:.4g}",
-                        t=t,
-                        max_gradient=grad,
-                    )
-                dt_cfl = cfl_timestep(grid, config, m, grad)
+            if u1 is not None:
+                t = target
+                np.add(u1, stationary_constant * (t - t1), out=u)
+            else:
+                dt = min(dt_cfl, target - t)
+                kernels.vhj_step(u, fvals, dt, h, m, periodic, out)
+                u, out = out, u
+                t += dt
+                countdown -= 1
+                if not countdown:
+                    countdown = REFRESH_STEPS
+                    grad = kernels.max_onesided_gradient(u, inv_h, periodic)
+                    if not math.isfinite(grad) and not np.all(np.isfinite(u)):
+                        _raise_nonfinite(u, t, grid)
+                    if not math.isfinite(grad) or grad > blow_up_cap:
+                        raise BlowUpError(
+                            f"gradient guard fired at t={t:.6g}: measured {grad:.4g} "
+                            f"exceeds the cap {blow_up_cap:.4g}",
+                            t=t,
+                            max_gradient=grad,
+                        )
+                    dt_cfl = cfl_timestep(grid, config, m, grad)
             if t < target - eps:
                 continue
-            if next_snap is not None and t >= next_snap - eps:
+            snapped = next_snap is not None and t >= next_snap - eps
+            if snapped:
                 if not np.all(np.isfinite(u)):
                     _raise_nonfinite(u, t, grid)
                 snapshots.append((t, GridFunction(grid, u.copy())))
@@ -186,14 +224,37 @@ def evolve(
                 # the window is a sub-box even on a torus: its ends are not
                 # neighbours
                 gwin = kernels.max_onesided_gradient(uk, inv_h, False)
-                trace.append(TraceSample(t, slope, gwin, hq, dt_cfl))
+                trace.append(TraceSample(t, slope, gwin, hq, dt_cfl if u1 is None else None))
                 trace.window_snapshots.append((t, uk))
                 next_sample += sample_interval
+            if snapped and stationary_constant is not None and u1 is None and t < T - eps:
+                delta = _fast_forward_residual(
+                    u, stationary_constant, fvals, m, h, periodic, dt_cfl, T - t
+                )
+                if delta is not None:
+                    t1, u1 = t, u.copy()
             target = _next_target(next_sample, next_snap, T)
 
     if not np.all(np.isfinite(u)):
         _raise_nonfinite(u, t, grid)
-    return EvolutionState(t, GridFunction(grid, u), trace, snapshots)
+    return EvolutionState(t, GridFunction(grid, u), trace, snapshots, t1, delta)
+
+
+def _fast_forward_residual(u, c, f, m, h, periodic, dt, remaining):
+    """delta = sup |c - lap_h u + H_h(u) - f| when ``evolve`` may fast-forward
+    from u over ``remaining`` time: delta * remaining is below the budget
+    and the step dt is monotone at u.  None otherwise.
+
+    The residual runs on the step's shared plan, whose buffers the next step
+    reloads anyway.
+    """
+    inv_h = 1.0 / h
+    res, q2 = kernels.plan(u.shape, periodic).residual(u, c, f, m, inv_h, inv_h * inv_h)
+    delta = float(np.max(np.abs(res)))
+    ratio = monotone_ratio(dt, float(np.max(q2)), m, h, u.ndim)
+    if delta * remaining < FAST_FORWARD_BUDGET and ratio <= 1.0:
+        return delta
+    return None
 
 
 def _next_target(next_sample, next_snap, T):

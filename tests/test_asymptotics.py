@@ -1,6 +1,7 @@
 """Large-time reports, the offset estimate, and the barrier checks."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ergodic_hj import (
     barrier_check_lower,
     barrier_check_upper,
     estimate_c_hat,
+    evolve,
     make_grid,
     restrict,
     run_large_time,
@@ -22,7 +24,12 @@ from ergodic_hj import (
     solve_periodic,
     solve_state_constraint,
 )
+from ergodic_hj import parabolic
 from ergodic_hj.asymptotics import LargeTimeHistoryRow
+from ergodic_hj.cli import build_problem
+from ergodic_hj.config import load_config
+from ergodic_hj.grid import write_table
+from ergodic_hj.parabolic import TraceSample
 
 
 @pytest.fixture(scope="module")
@@ -290,3 +297,61 @@ def test_barrier_margins_carry_their_sign(shift):
     assert lo.initial_domination_margin == 0.1875 + shift
     assert lo.later_domination_margin == 1.5 + shift
     assert lo.initial_ok == lo.later_ok == lo.passed == (shift == 0)
+
+
+@pytest.mark.parametrize("m, T", [(2.0, 12.0), (1.5, 20.0)])
+def test_fast_forwarded_report_agrees_with_the_stepped_one(monkeypatch, m, T):
+    # the report names t1 < T and the bound delta (T - t1); every history
+    # row and snapshot of the stepped run (budget 0: the rule never fires)
+    # agrees within it.  A window mean moves by at most the bound, a spread
+    # (sup error, flatness) by at most twice it
+    problem = ProblemSpec(m=m, source=SourceSpec("power", alpha=m), dim=1)
+    run = solve_state_constraint(problem, 4.0, 0.1)
+    fast = run_large_time(problem, run, T, window_half_width=1.0)
+    monkeypatch.setattr(parabolic, "FAST_FORWARD_BUDGET", 0.0)
+    full = run_large_time(problem, run, T, window_half_width=1.0)
+    assert fast.fast_forward_from < T
+    assert fast.fast_forward_bound == fast.fast_forward_residual * (T - fast.fast_forward_from)
+    assert fast.fast_forward_bound < 1e-9
+    assert full.fast_forward_from is full.fast_forward_residual is full.fast_forward_bound is None
+    tol = fast.fast_forward_bound + 1e-12
+    assert len(fast.history) == len(full.history)
+    for a, b in zip(fast.history, full.history):
+        assert a.t == b.t
+        assert abs(a.c_of_t - b.c_of_t) <= tol
+        assert abs(a.slope_error - b.slope_error) <= tol / a.t
+        assert abs(a.sup_error - b.sup_error) <= 2.0 * tol
+        assert abs(a.flatness - b.flatness) <= 2.0 * tol
+    for (t, a), (s, b) in zip(fast.snapshots, full.snapshots):
+        assert t == s
+        assert np.max(np.abs(a.values - b.values)) <= tol
+    assert abs(fast.c_hat - full.c_hat) <= tol
+
+
+def test_horizon_short_of_the_budget_writes_the_same_trace(tmp_path):
+    # T = 4 on the R = 8 box: delta (T - t1) stays above the budget at
+    # every snapshot, so the run steps to T and its trace.csv is the one a
+    # run without the constant writes, byte for byte
+    problem = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
+    run = solve_state_constraint(problem, 8.0, 0.05)
+    report = run_large_time(problem, run, 4.0, window_half_width=2.0)
+    assert report.fast_forward_from is None and report.fast_forward_bound is None
+    plain = evolve(problem, run.profile.grid, 4.0, window_half_width=2.0)
+    columns = [f.name for f in dataclasses.fields(TraceSample)]
+    for name, samples in (("report", report.trace.samples), ("plain", plain.trace.samples)):
+        write_table(tmp_path / name, [], columns, map(dataclasses.astuple, samples))
+    assert (tmp_path / "report").read_bytes() == (tmp_path / "plain").read_bytes()
+
+
+def test_benchmark_longtime_run_fast_forwards_from_t8():
+    # all_1d_m2.cfg's longtime grid (R = 16, h = 0.05, T = 20): the flow sits
+    # on the fixed point from t = 8 (delta 5.0e-11, bound 6.0e-10)
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "configs",
+                        "all_1d_m2.cfg")
+    cfg = load_config(path)
+    problem, lt = build_problem(cfg), cfg["longtime"]
+    run = solve_state_constraint(problem, lt["box_half_width"], lt["spacing"])
+    report = run_large_time(problem, run, lt["horizon"],
+                            window_half_width=lt["window_half_width"])
+    assert report.fast_forward_from == 8.0
+    assert report.fast_forward_bound < 1e-9

@@ -429,6 +429,9 @@ def test_longtime_subtracts_the_pair_of_the_evolved_box(tmp_path, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["lambda_star_used"] == rung[8.0]
     assert summary["ladder_estimate"] == rung[4.0] != rung[8.0]
+    assert summary["truncation_gap"] == rung[8.0] - rung[4.0]
+    keys = list(summary)
+    assert keys[keys.index("ladder_estimate") + 1] == "truncation_gap"
     c = {float(r["t"]): float(r["c_of_t"]) for r in read_table(out / "history.csv")}
     assert abs(c[12.0] - c[11.0]) < 1e-8
 
@@ -580,10 +583,13 @@ def test_nonpositive_margin_or_tolerance_is_config_error(tmp_path, capsys, key, 
         ("slope_tolerance: 0.02", "slope_tolerance: 0.0",
          "oracle.slope_tolerance must be positive, got 0.0"),
         ("horizon: 3.0", "horizon: 0.5", "oracle.horizon must be at least 1, got 0.5"),
+        ("m: 2.0", "m: 3.0", "problem.m must be in (1, 2], got 3.0"),
+        ("dim: 1\n", "dim: 3\n", "problem.dim must be 1 or 2, got 3"),
+        ("cfl_safety: 0.9", "cfl_safety: 1.5", "scheme.cfl_safety must be in (0, 1], got 1.5"),
     ],
     ids=["typo", "typo_tolerance", "repeated_block", "repeated_key", "dim_fraction",
          "ladder_scalar", "m_word", "eigen_tolerance", "slope_tolerance",
-         "oracle_horizon"],
+         "oracle_horizon", "m_range", "dim_range", "cfl_safety_range"],
 )
 def test_config_fault_exits_two_before_any_command(tmp_path, capsys, old, new, message):
     # the whole config is checked before the first command: one line, no output
@@ -592,6 +598,22 @@ def test_config_fault_exits_two_before_any_command(tmp_path, capsys, old, new, m
     assert main(["all", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+def test_torus_cell_off_the_grid_exits_two_before_any_solve(tmp_path, capsys, monkeypatch):
+    # cutoff 32 needs the cell S = 5.75: 115 steps of 0.1, no node at the
+    # origin.  Every command that reads the ergodic block says so before the
+    # first box rung is solved
+    cfg = _quick_variant(tmp_path, ("cutoffs: [9.0]", "cutoffs: [9.0, 32.0]"))
+    monkeypatch.setattr(ergodic, "solve_state_constraint", None)
+    for command in ("ergodic", "longtime", "all"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: ergodic.cutoffs 32 gives a torus cell of half-width 5.75: "
+            "spacing must place a node at the origin (even step count per width)\n"
+        )
+        assert not out.exists()
 
 
 def test_longtime_rejects_another_problems_artifacts(quick_cfg, tmp_path, capsys):

@@ -20,6 +20,7 @@ from ergodic_hj import (
     make_grid,
     restrict,
     sample,
+    solve_state_constraint,
 )
 from ergodic_hj import parabolic
 from ergodic_hj.kernels import vhj_step
@@ -201,6 +202,77 @@ def test_blow_up_guard_fires():
     steep = sample(lambda x: 500.0 * np.abs(x), g)
     with pytest.raises(BlowUpError):
         evolve(p, g, 1.0, initial=steep, blow_up_cap=100.0)
+
+
+@pytest.mark.parametrize("m, T", [(2.0, 12.0), (1.5, 20.0)])
+def test_fast_forward_agrees_with_the_stepped_flow_within_its_bound(m, T):
+    # the rule fires at t1 = 7 (m = 2, delta 8.9e-11) and 15 (m = 1.5,
+    # delta 4.1e-11); every later state is u(t1) + lambda_h (t - t1), which
+    # the stepped flow stays within delta (t - t1) of (measured: at most
+    # 2.4e-11 on the whole box and 1.7e-12 on the window).  f = |x|^m, box
+    # R = 4, h = 0.1
+    p = ProblemSpec(m=m, source=SourceSpec("power", alpha=m), dim=1)
+    run = solve_state_constraint(p, 4.0, 0.1)
+    g = run.profile.grid
+    snaps = [float(k) for k in range(1, int(T) + 1)]
+    args = dict(snapshot_times=snaps, window_half_width=1.0)
+    fast = evolve(p, g, T, stationary_constant=run.constant, **args)
+    full = evolve(p, g, T, **args)
+    t1, delta = fast.fast_forward_from, fast.fast_forward_residual
+    assert t1 is not None and t1 < T
+    assert (full.fast_forward_from, full.fast_forward_residual) == (None, None)
+    bound = delta * (T - t1)
+    assert bound < parabolic.FAST_FORWARD_BUDGET
+    assert [t for t, _ in fast.snapshots] == [t for t, _ in full.snapshots] == snaps
+    for (t, a), (_, b) in zip(fast.snapshots, full.snapshots):
+        if t <= t1:
+            assert np.array_equal(a.values, b.values)
+        else:
+            assert np.array_equal(a.values, fast.snapshots[int(t1) - 1][1].values
+                                  + run.constant * (t - t1))
+        assert np.max(np.abs(a.values - b.values)) <= bound + 1e-12
+    for (t, a), (s, b) in zip(fast.trace.window_snapshots, full.trace.window_snapshots):
+        assert t == s
+        assert np.max(np.abs(a - b)) <= bound + 1e-12
+    assert np.max(np.abs(fast.u.values - full.u.values)) <= bound + 1e-12
+    # a fast-forwarded sample has no step in force
+    for a, b in zip(fast.trace.samples, full.trace.samples):
+        assert a.dt == (b.dt if a.t <= t1 else None)
+
+
+def test_monotone_ratio_is_the_sufficient_bound():
+    # dt (2N/h^2 + m sqrt(2N) q2^((m-1)/2) / h)
+    assert parabolic.monotone_ratio(1e-3, 4.0, 2.0, 0.1, 1) == pytest.approx(
+        1e-3 * (200.0 + 2.0 * np.sqrt(2.0) * 2.0 / 0.1), rel=1e-15
+    )
+    assert parabolic.monotone_ratio(1e-3, 16.0, 1.5, 0.1, 2) == pytest.approx(
+        1e-3 * (400.0 + 1.5 * 2.0 * 2.0 / 0.1), rel=1e-15
+    )
+
+
+@pytest.mark.parametrize("steep", [False, True])
+def test_fast_forward_guard_refuses_a_step_that_is_not_monotone(monkeypatch, steep):
+    # with the budget out of the way only the guard decides.  A peak of slope
+    # 200 on h = 0.25 has max q2 = 6.7e4 (about 2 x 183^2) after the first
+    # step, and the CFL step sized from 1.5 x 200 gives the bound a ratio of
+    # 1.098: the run steps to T, with every sample as without the constant.
+    # Zero data keep the ratio below 1, so the same run fast-forwards from
+    # the first snapshot
+    monkeypatch.setattr(parabolic, "FAST_FORWARD_BUDGET", math.inf)
+    p = ProblemSpec(m=2.0, source=SourceSpec("power", alpha=2.0), dim=1)
+    g = make_grid("box", 2.0, 0.25, 1)
+    peak = 200.0 * np.maximum(1.0 - np.abs(g.axis_coords()), 0.0) if steep else 0.0
+    u0 = GridFunction(g, np.zeros(g.shape) + peak)
+    args = dict(initial=u0, snapshot_times=[1e-4], sample_interval=0.05)
+    fast = evolve(p, g, 0.2, stationary_constant=1.0, **args)
+    if steep:
+        full = evolve(p, g, 0.2, **args)
+        assert fast.fast_forward_from is None
+        assert np.array_equal(fast.u.values, full.u.values)
+        assert [s.dt for s in fast.trace.samples] == [s.dt for s in full.trace.samples]
+    else:
+        assert fast.fast_forward_from == 1e-4
+        assert all(s.dt is None for s in fast.trace.samples)
 
 
 def test_holder_quotient_stationary_drift():
